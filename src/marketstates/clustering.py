@@ -1,7 +1,9 @@
 """Seeded k-means over matrix sequences and the sigma_intra model selection.
 
-Matrices are clustered as points in packed-triangle space under the same
-L1 distance used everywhere else (``metric="l1"``, the default); centroids
+Matrices are clustered as points in packed-triangle space: the rows of
+a MatrixStack (a matrix list is stacked once by ``MatrixStack.of``, and
+a 2-D array is taken as packed rows as it is), under the same L1
+distance used everywhere else (``metric="l1"``, the default); centroids
 are element-wise means. The mean/L1 hybrid lacks a textbook monotone
 convergence guarantee, so max_iter bounds every run; ``metric="l2"``
 selects classical Lloyd with its usual guarantees.
@@ -30,9 +32,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from . import packed
 from .corrmat import (
     EpochSpec,
+    MatrixStack,
     average_correlation,
     coarse_grain,
     power_map,
@@ -51,20 +53,14 @@ from .rng import subseed
 _METRICS = ("l1", "l2")
 
 
-def _as_points(matrices) -> np.ndarray:
-    """Stack a matrix sequence (or accept a prepacked 2-D array) as rows."""
-    if isinstance(matrices, np.ndarray):
-        pts = np.asarray(matrices, dtype=np.float64)
-        if pts.ndim != 2:
-            raise ValidationError("expected a 2-D array of packed rows")
-        return pts
-    rows = [m.data for m in matrices]
-    if not rows:
-        raise InsufficientData("no matrices to cluster")
-    dims = {m.dim for m in matrices}
-    if len(dims) > 1:
-        raise ValidationError(f"mixed matrix dimensions {sorted(dims)}")
-    return np.vstack(rows)
+def _packed_rows(matrices) -> np.ndarray:
+    """The points to cluster: a 2-D array as it is, else the stack's rows."""
+    if not isinstance(matrices, np.ndarray):
+        return MatrixStack.of(matrices).data
+    pts = np.asarray(matrices, dtype=np.float64)
+    if pts.ndim != 2:
+        raise ValidationError("expected a 2-D array of packed rows")
+    return pts
 
 
 def _point_distances(pts: np.ndarray, centroids: np.ndarray, metric: str) -> np.ndarray:
@@ -116,7 +112,7 @@ def kmeans(
     d_intra is the mean point-to-assigned-centroid distance under the
     active metric.
     """
-    pts = _as_points(matrices)
+    pts = _packed_rows(matrices)
     n = pts.shape[0]
     if k < 1:
         raise ParameterRange(f"k must be >= 1, got {k}")
@@ -198,7 +194,7 @@ def sigma_intra(
     """
     if n_init < 2:
         raise ParameterRange(f"n_init must be >= 2, got {n_init}")
-    pts = _as_points(matrices)
+    pts = _packed_rows(matrices)
     seeds = [subseed(seed, i) for i in range(n_init)]
 
     def run(s: int) -> Clustering:
@@ -288,13 +284,12 @@ def optimize_states(
     base = rolling_correlations(returns, spec)
     cells: list[GridCell] = []
     for eps in eps_list:
-        pts = None
+        mats = None
         col_error = None
         try:
-            mats = [power_map(c, eps) for c in base]
+            mats = power_map(base, eps)
             if sectors is not None:
-                mats = [coarse_grain(m, sectors) for m in mats]
-            pts = _as_points(mats)
+                mats = coarse_grain(mats, sectors)
         except MarketStatesError as exc:
             col_error = f"{type(exc).__name__}: {exc}"
         for k in k_list:
@@ -303,7 +298,7 @@ def optimize_states(
                 continue
             try:
                 res = sigma_intra(
-                    pts, k, n_init, seed,
+                    mats, k, n_init, seed,
                     max_iter=max_iter, metric=metric, threads=threads,
                 )
                 cells.append(GridCell(k, eps, res.sigma_intra, res.mean_d_intra))
@@ -346,19 +341,12 @@ def order_states(c: Clustering, matrices) -> StateSequence:
     """Relabel raw cluster ids so label 1 has the lowest mean average
     correlation over its members and label k the highest. Ties between
     cluster means go to the lower raw id, with a TieWarning."""
-    if isinstance(matrices, np.ndarray):
-        pts = _as_points(matrices)
-        dim = packed.dim_from_length(pts.shape[1])
-        mask = packed.strict_upper_mask(dim)
-        avg = pts[:, mask].mean(axis=1)
-        epoch_ends = None
-    else:
-        avg = np.array([average_correlation(m) for m in matrices])
-        epoch_ends = tuple(m.epoch_end for m in matrices)
-    if avg.shape[0] != c.n_points:
+    stack = MatrixStack.of(matrices)
+    if len(stack) != c.n_points:
         raise ValidationError(
-            f"{avg.shape[0]} matrices for a clustering of {c.n_points} points"
+            f"{len(stack)} matrices for a clustering of {c.n_points} points"
         )
+    avg = np.array([average_correlation(m) for m in stack])
 
     means = np.array([avg[c.assignments == g].mean() for g in range(c.k)])
     order = np.argsort(means, kind="stable")
@@ -373,7 +361,7 @@ def order_states(c: Clustering, matrices) -> StateSequence:
     return StateSequence(
         states=label_of[c.assignments],
         k=c.k,
-        epoch_ends=epoch_ends,
+        epoch_ends=stack.epoch_ends,
         state_means=tuple(float(means[g]) for g in order),
     )
 

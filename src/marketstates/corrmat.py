@@ -7,6 +7,11 @@ consecutive return days (20 by convention) slid forward by a fixed shift
 entries over sector-pair blocks, producing the much smaller sectorial
 Guhr matrix whose diagonal is no longer 1.
 
+The epochs of one run travel together as a :class:`MatrixStack`: one
+read-only array with a packed upper triangle per row, which clustering
+and scaling read directly. Indexing a stack yields the per-epoch
+:class:`CorrMatrix` or :class:`GuhrMatrix` on a row view.
+
 Distances between matrices are L1 sums over the packed upper triangle.
 For correlation matrices the diagonal contributes nothing (both are 1);
 for Guhr matrices the diagonal is included deliberately, since
@@ -15,11 +20,9 @@ intra-sector averages carry state information.
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass, replace
 from datetime import date
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -101,6 +104,71 @@ class GuhrMatrix:
         return packed.unpack(self.data, self.dim)
 
 
+@dataclass(frozen=True, eq=False)
+class MatrixStack:
+    """Same-kind epoch matrices as the rows of one read-only array.
+
+    ``kind`` is :class:`CorrMatrix` or :class:`GuhrMatrix`; ``data`` has
+    shape (n_epochs, packed_length(dim)); ``labels`` are the tickers of a
+    correlation stack (possibly None) or the sectors of a Guhr stack.
+    ``stack[i]`` is the element kind built on a view of row i with
+    ``epoch_index=i``, and iterating a stack yields them in epoch order.
+    """
+
+    kind: type
+    dim: int
+    data: np.ndarray
+    epoch_ends: tuple[date, ...]
+    labels: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        if self.data.ndim != 2 or self.data.shape[1] != packed.packed_length(self.dim):
+            raise ValidationError(
+                f"stack data shape {self.data.shape} does not match dim {self.dim}"
+            )
+        if len(self.epoch_ends) != self.data.shape[0]:
+            raise ValidationError(
+                f"{len(self.epoch_ends)} epoch ends for {self.data.shape[0]} rows"
+            )
+        view = self.data.view()
+        view.flags.writeable = False
+        object.__setattr__(self, "data", view)
+
+    @classmethod
+    def of(cls, matrices) -> MatrixStack:
+        """Stack a nonempty sequence of same-kind, same-dim matrices; a
+        MatrixStack is returned as it is."""
+        if isinstance(matrices, MatrixStack):
+            return matrices
+        seq = list(matrices)
+        if not seq:
+            raise InsufficientData("no matrices to stack")
+        kinds = {type(m) for m in seq}
+        if len(kinds) > 1:
+            names = sorted(t.__name__ for t in kinds)
+            raise DimensionMismatch(f"mixed matrix kinds {names}")
+        dims = {m.dim for m in seq}
+        if len(dims) > 1:
+            raise DimensionMismatch(f"mixed matrix dimensions {sorted(dims)}")
+        first = seq[0]
+        return cls(
+            kind=type(first),
+            dim=first.dim,
+            data=np.vstack([m.data for m in seq]),
+            epoch_ends=tuple(m.epoch_end for m in seq),
+            labels=first.sectors if isinstance(first, GuhrMatrix) else first.tickers,
+        )
+
+    def __len__(self) -> int:
+        return int(self.data.shape[0])
+
+    def __getitem__(self, i: int) -> CorrMatrix | GuhrMatrix:
+        i = range(len(self))[i]
+        if self.kind is GuhrMatrix:
+            return GuhrMatrix(self.dim, self.data[i], self.epoch_ends[i], self.labels, i)
+        return CorrMatrix(self.dim, self.data[i], self.epoch_ends[i], i, self.labels)
+
+
 def epoch_correlation(
     returns: ReturnTable,
     start: int,
@@ -146,88 +214,92 @@ def epoch_correlation(
     )
 
 
-def iter_rolling_correlations(
-    returns: ReturnTable, spec: EpochSpec
-) -> Iterator[CorrMatrix]:
-    """Stream epoch correlation matrices without materializing the sequence."""
+def rolling_correlations(returns: ReturnTable, spec: EpochSpec) -> MatrixStack:
+    """All epoch correlation matrices, ``(rows - length) // shift + 1`` of
+    them, written row by row into one stack by :func:`epoch_correlation`."""
     count = spec.window_count(returns.n_rows)
+    data = np.empty((count, packed.packed_length(len(returns.tickers))))
+    ends = []
     for i in range(count):
-        yield epoch_correlation(returns, i * spec.shift, spec, epoch_index=i)
-
-
-def rolling_correlations(returns: ReturnTable, spec: EpochSpec) -> list[CorrMatrix]:
-    """All epoch correlation matrices: ``(rows - length) // shift + 1`` of them."""
-    return list(iter_rolling_correlations(returns, spec))
+        c = epoch_correlation(returns, i * spec.shift, spec, epoch_index=i)
+        data[i] = c.data
+        ends.append(c.epoch_end)
+    return MatrixStack(CorrMatrix, len(returns.tickers), data, tuple(ends), returns.tickers)
 
 
 def power_map(matrix, epsilon: float):
     """Entrywise noise suppression ``x -> sign(x) |x|^(1+eps)``.
 
     ``epsilon`` must lie in [0, 1]; 0 is the identity. Works on both
-    matrix kinds and returns the same kind. A correlation diagonal stays
-    at 1 since 1 is a fixed point of the map.
+    matrix kinds and on a whole MatrixStack, and returns the same kind.
+    A correlation diagonal stays at 1 since 1 is a fixed point of the map.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ParameterRange(f"epsilon must be in [0, 1], got {epsilon}")
     if epsilon == 0.0:
         return matrix
-    data = matrix.data
-    mapped = np.sign(data) * np.abs(data) ** (1.0 + epsilon)
+    mapped = np.empty_like(matrix.data)
+    # row by row, so a stack's temporaries stay one row long
+    for out, x in zip(np.atleast_2d(mapped), np.atleast_2d(matrix.data)):
+        out[:] = np.sign(x) * np.abs(x) ** (1.0 + epsilon)
     return replace(matrix, data=mapped)
 
 
-def coarse_grain(
-    c: CorrMatrix, sectors: SectorMap, tickers=None
-) -> GuhrMatrix:
+def coarse_grain(c, sectors: SectorMap, tickers=None):
     """Average correlation entries over sector-pair blocks.
 
-    Diagonal blocks exclude the self-correlations, so a block of n members
-    averages over n*(n-1) entries; off-diagonal blocks over n_i*n_j. A
-    singleton sector has no intra-sector pairs: its diagonal entry is set
-    to 1.0 and a ``SingletonSectorWarning`` is emitted.
+    Takes a CorrMatrix and returns a GuhrMatrix, or takes a correlation
+    MatrixStack and returns a Guhr stack; the sector layout is worked out
+    once per call. Diagonal blocks exclude the self-correlations, so a
+    block of n members averages over n*(n-1) entries; off-diagonal blocks
+    over n_i*n_j. A singleton sector has no intra-sector pairs: its
+    diagonal entry is set to 1.0 and one ``SingletonSectorWarning`` is
+    emitted per call.
     """
+    stack = MatrixStack.of([c]) if isinstance(c, CorrMatrix) else c
+    if stack.kind is not CorrMatrix:
+        raise ValidationError("coarse graining takes correlation matrices")
     if tickers is None:
-        tickers = c.tickers
+        tickers = stack.labels
     if tickers is None:
         raise ValidationError(
             "correlation matrix carries no tickers; pass them explicitly"
         )
-    if len(tickers) != c.dim:
+    dim = stack.dim
+    if len(tickers) != dim:
         raise DimensionMismatch(
-            f"{len(tickers)} tickers for a dim-{c.dim} matrix"
+            f"{len(tickers)} tickers for a dim-{dim} matrix"
         )
     idx = sectors.indices(tickers)
     n_s = sectors.n_sectors
     counts = np.bincount(idx, minlength=n_s).astype(np.float64)
-
-    full = c.full()
-    onehot = np.zeros((c.dim, n_s))
-    onehot[np.arange(c.dim), idx] = 1.0
-    block_sums = onehot.T @ full @ onehot
-    # diagonal blocks: remove self-correlations before averaging
-    diag_by_sector = np.bincount(idx, weights=np.diag(full), minlength=n_s)
+    onehot = np.zeros((dim, n_s))
+    onehot[np.arange(dim), idx] = 1.0
     denom = np.outer(counts, counts)
     np.fill_diagonal(denom, counts * (counts - 1.0))
-    block_sums[np.diag_indices(n_s)] -= diag_by_sector
-
-    g = np.empty((n_s, n_s))
     singleton = denom == 0.0
-    np.divide(block_sums, denom, out=g, where=~singleton)
+
+    g = np.ones((n_s, n_s))
+    out = np.empty((len(stack), packed.packed_length(n_s)))
+    for i, row in enumerate(stack.data):
+        full = packed.unpack(row, dim)
+        block_sums = onehot.T @ full @ onehot
+        # diagonal blocks: remove self-correlations before averaging
+        block_sums[np.diag_indices(n_s)] -= np.bincount(
+            idx, weights=np.diag(full), minlength=n_s
+        )
+        np.divide(block_sums, denom, out=g, where=~singleton)
+        out[i] = packed.pack(g)
     if singleton.any():
-        g[singleton] = 1.0
         names = [sectors.sectors[i] for i in np.flatnonzero(np.diag(singleton))]
         warnings.warn(
             f"singleton sector(s) {names}: diagonal set to 1.0",
             SingletonSectorWarning,
             stacklevel=2,
         )
-    return GuhrMatrix(
-        dim=n_s,
-        data=packed.pack(g),
-        epoch_end=c.epoch_end,
-        sectors=sectors.sectors,
-        epoch_index=c.epoch_index,
-    )
+    if isinstance(c, CorrMatrix):
+        return GuhrMatrix(n_s, out[0], c.epoch_end, sectors.sectors, c.epoch_index)
+    return MatrixStack(GuhrMatrix, n_s, out, stack.epoch_ends, sectors.sectors)
 
 
 def matrix_distance(a, b) -> float:
@@ -242,7 +314,7 @@ def matrix_distance(a, b) -> float:
         )
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return packed.packed_l1(a.data, b.data)
+    return float(np.abs(a.data - b.data).sum())
 
 
 def average_correlation(matrix) -> float:
@@ -253,62 +325,15 @@ def average_correlation(matrix) -> float:
     return float(matrix.data[mask].mean())
 
 
-def iter_pipeline_matrices(
-    returns: ReturnTable,
-    spec: EpochSpec,
-    epsilon: float = 0.0,
-    sectors: SectorMap | None = None,
-) -> Iterator[CorrMatrix | GuhrMatrix]:
-    """Stream the canonical per-epoch pipeline: correlation, power map, then
-    coarse graining when a sector map is given."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ParameterRange(f"epsilon must be in [0, 1], got {epsilon}")
-    for corr in iter_rolling_correlations(returns, spec):
-        m = power_map(corr, epsilon)
-        if sectors is not None:
-            m = coarse_grain(m, sectors)
-        yield m
-
-
 def pipeline_matrices(
     returns: ReturnTable,
     spec: EpochSpec,
     epsilon: float = 0.0,
     sectors: SectorMap | None = None,
-) -> list[CorrMatrix | GuhrMatrix]:
-    """Materialized form of :func:`iter_pipeline_matrices`."""
-    return list(iter_pipeline_matrices(returns, spec, epsilon, sectors))
-
-
-class MatrixDump(NamedTuple):
-    """Parsed matrix dump: metadata plus the packed values."""
-
-    dim: int
-    epoch_index: int
-    epoch_end: date
-    data: np.ndarray
-
-
-def dump_matrix(matrix) -> str:
-    """Text dump: header ``dim,epoch_index,epoch_end`` then the packed
-    upper triangle, comma-separated, 17 significant digits."""
-    out = io.StringIO()
-    out.write(f"{matrix.dim},{matrix.epoch_index},{matrix.epoch_end.isoformat()}\n")
-    out.write(",".join(format(x, ".17g") for x in matrix.data))
-    out.write("\n")
-    return out.getvalue()
-
-
-def load_matrix_dump(text: str) -> MatrixDump:
-    """Parse the output of :func:`dump_matrix`; values round-trip exactly."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if len(lines) != 2:
-        raise ValidationError("matrix dump must have a header line and a data line")
-    dim_s, idx_s, end_s = lines[0].split(",")
-    dim = int(dim_s)
-    data = np.array([float(x) for x in lines[1].split(",")], dtype=np.float64)
-    if data.shape[0] != packed.packed_length(dim):
-        raise ValidationError(
-            f"expected {packed.packed_length(dim)} packed values, got {data.shape[0]}"
-        )
-    return MatrixDump(dim, int(idx_s), date.fromisoformat(end_s), data)
+) -> MatrixStack:
+    """The canonical epoch pipeline as one stack: correlation, power map,
+    then coarse graining when a sector map is given."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ParameterRange(f"epsilon must be in [0, 1], got {epsilon}")
+    stack = power_map(rolling_correlations(returns, spec), epsilon)
+    return stack if sectors is None else coarse_grain(stack, sectors)

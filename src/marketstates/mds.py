@@ -22,7 +22,8 @@ from scipy.sparse.linalg import eigsh
 from scipy.spatial.distance import pdist
 
 from . import packed
-from .errors import DegradedRankWarning, DimensionMismatch, ParameterRange, ValidationError
+from .corrmat import MatrixStack
+from .errors import DegradedRankWarning, ParameterRange, ValidationError
 
 PALETTE = (
     "#1b9e77", "#d95f02", "#7570b3", "#e7298a",
@@ -81,21 +82,14 @@ class Embedding:
 
 
 def distance_matrix(matrices) -> DistanceMatrix:
-    """All pairwise matrix distances, computed once into packed storage."""
-    seq = list(matrices)
-    if len(seq) < 2:
+    """All pairwise distances between the rows of a MatrixStack (or a
+    matrix list, stacked once), computed into packed storage."""
+    stack = MatrixStack.of(matrices)
+    n = len(stack)
+    if n < 2:
         raise ValidationError("need at least 2 matrices")
-    kinds = {type(m) for m in seq}
-    if len(kinds) > 1:
-        names = sorted(t.__name__ for t in kinds)
-        raise DimensionMismatch(f"mixed matrix kinds {names}")
-    dims = {m.dim for m in seq}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"mixed matrix dimensions {sorted(dims)}")
-    pts = np.vstack([m.data for m in seq])
-    n = len(seq)
     d = np.zeros(packed.packed_length(n))
-    d[packed.strict_upper_mask(n)] = pdist(pts, "cityblock")
+    d[packed.strict_upper_mask(n)] = pdist(stack.data, "cityblock")
     return DistanceMatrix(n=n, d=d)
 
 

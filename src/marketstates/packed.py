@@ -73,7 +73,3 @@ def unpack(packed: np.ndarray, dim: int | None = None) -> np.ndarray:
     full[cols, rows] = packed
     return full
 
-
-def packed_l1(a: np.ndarray, b: np.ndarray) -> float:
-    """Sum of absolute entrywise differences between two packed vectors."""
-    return float(np.abs(np.asarray(a) - np.asarray(b)).sum())

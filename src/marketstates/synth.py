@@ -11,7 +11,6 @@ inverts the generator exactly.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from datetime import date, timedelta
 
@@ -20,7 +19,7 @@ import numpy as np
 from .clustering import StateSequence
 from .errors import InvalidRegime, ParameterRange, ValidationError
 from .ingest import PriceTable, SectorMap
-from .markov import TransitionMatrix, equilibrium_distribution
+from .markov import TransitionMatrix, equilibrium_distribution, sample_chain_block
 
 START_DATE = date(2000, 1, 3)
 START_PRICE = 100.0
@@ -174,13 +173,6 @@ def generate_markov_sequence(probs, length: int, seed: int) -> StateSequence:
     eq = equilibrium_distribution(t)
 
     rng = np.random.default_rng(seed)
-    states = np.empty(length, dtype=np.int64)
-    s = int(rng.choice(k, p=eq.pi))
-    states[0] = s + 1
-    if length > 1:
-        cum_rows = [list(np.cumsum(p[i])) for i in range(k)]
-        u = rng.random(length - 1)
-        for i in range(1, length):
-            s = min(bisect.bisect_right(cum_rows[s], u[i - 1]), k - 1)
-            states[i] = s + 1
+    start = rng.choice(k, p=eq.pi) + 1
+    states = sample_chain_block(p, length, np.array([start]), rng)[0]
     return StateSequence(states=states, k=k)

@@ -1,16 +1,19 @@
 """End-to-end checks of the command line front end.
 
 Every test drives ``main(argv)`` in process so exit codes and stderr are
-observable; one test runs the installed console script for the wiring.
+observable; one test runs ``python -m marketstates`` for the wiring.
 A small two-regime synthetic market generated by the ``synth`` command
 feeds the data commands.
 """
 
 import hashlib
+import importlib
 import json
+import os
 import subprocess
 import sys
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,12 +131,24 @@ def test_synth_deterministic_per_seed(market, tmp_path):
 
 
 def test_console_script(tmp_path):
+    """The console script's wiring without an install: pyproject.toml
+    names an importable, callable entry point, and ``python -m
+    marketstates`` runs it from the source tree."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["marketstates"]
+    assert target == "marketstates.cli:entry_point"
+    module_name, attr = target.split(":")
+    assert callable(getattr(importlib.import_module(module_name), attr))
+
     out = tmp_path / "cli"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
-        ["marketstates", "synth", "--out", str(out),
+        [sys.executable, "-m", "marketstates", "synth", "--out", str(out),
          "--sector-sizes", "3,3", "--intra", "0.2,0.7",
          "--inter", "0.05,0.1", "--durations", "40,40"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "prices.csv").is_file()

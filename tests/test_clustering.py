@@ -16,14 +16,24 @@ from marketstates.clustering import (
     order_states,
     sigma_intra,
 )
-from marketstates.corrmat import CorrMatrix, EpochSpec, rolling_correlations
+from marketstates.corrmat import (
+    CorrMatrix,
+    EpochSpec,
+    MatrixStack,
+    average_correlation,
+    coarse_grain,
+    epoch_correlation,
+    pipeline_matrices,
+    power_map,
+    rolling_correlations,
+)
 from marketstates.errors import (
     InsufficientData,
     ParameterRange,
     TieWarning,
     ValidationError,
 )
-from marketstates.ingest import ReturnTable
+from marketstates.ingest import ReturnTable, SectorMap
 from marketstates.rng import subseed
 
 
@@ -271,13 +281,37 @@ def test_order_states_single_cluster():
 
 def test_order_states_is_bijective_relabeling():
     pts = _blobs([0.1, 0.4, 0.8], 12, packed.packed_length(5), 0.05, seed=13)
-    c = kmeans(pts, k=3, seed=4)
-    seq = order_states(c, pts)
+    ends = tuple(date(2015, 1, 1) + timedelta(days=i) for i in range(len(pts)))
+    stack = MatrixStack(CorrMatrix, 5, pts, ends)
+    c = kmeans(stack, k=3, seed=4)
+    seq = order_states(c, stack)
+    assert seq.epoch_ends == ends
     assert set(np.unique(seq.states)) == {1, 2, 3}
     assert sorted(np.bincount(seq.states)[1:]) == sorted(c.cluster_sizes())
     for g in range(3):
         labels = seq.states[c.assignments == g]
         assert (labels == labels[0]).all()
+
+
+@pytest.mark.parametrize("with_sectors", [False, True])
+def test_order_states_means_equal_per_matrix_average_correlation(with_sectors):
+    rt = _return_table(60, 6, seed=16)
+    spec = EpochSpec(20, 1)
+    sectors = None
+    if with_sectors:
+        labels = dict(zip(rt.tickers, ("s1", "s1", "s2", "s2", "s3", "s3")))
+        sectors = SectorMap(assignment=labels, sectors=("s1", "s2", "s3"),
+                            sizes={"s1": 2, "s2": 2, "s3": 2})
+    stack = pipeline_matrices(rt, spec, 0.3, sectors)
+    c = kmeans(stack, k=3, seed=2)
+    seq = order_states(c, stack)
+    per_matrix = []
+    for i in range(len(stack)):
+        m = power_map(epoch_correlation(rt, i, spec, epoch_index=i), 0.3)
+        per_matrix.append(average_correlation(m if sectors is None else coarse_grain(m, sectors)))
+    per_matrix = np.array(per_matrix)
+    want = sorted(per_matrix[c.assignments == g].mean() for g in range(3))
+    assert seq.state_means == tuple(want)
 
 
 def test_order_states_tie_warning():

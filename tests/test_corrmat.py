@@ -1,21 +1,23 @@
 import math
+import warnings
 from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from marketstates import packed
 from marketstates.corrmat import (
     CorrMatrix,
     EpochSpec,
     GuhrMatrix,
+    MatrixStack,
     average_correlation,
     coarse_grain,
-    dump_matrix,
     epoch_correlation,
-    iter_rolling_correlations,
-    load_matrix_dump,
     matrix_distance,
     pipeline_matrices,
     power_map,
@@ -174,17 +176,6 @@ def test_rolling_insufficient_rows():
         rolling_correlations(rt, EpochSpec(20, 1))
 
 
-def test_iter_matches_list():
-    rng = np.random.default_rng(8)
-    rt = _return_table(rng.normal(size=(25, 3)))
-    spec = EpochSpec(20, 1)
-    streamed = list(iter_rolling_correlations(rt, spec))
-    materialized = rolling_correlations(rt, spec)
-    assert len(streamed) == len(materialized)
-    for a, b in zip(streamed, materialized):
-        np.testing.assert_array_equal(a.data, b.data)
-
-
 def test_epoch_spec_validation():
     with pytest.raises(ParameterRange):
         EpochSpec(length=1)
@@ -230,6 +221,17 @@ def test_power_map_sign_magnitude_monotonic():
         assert (np.abs(out) <= np.abs(vals) + 1e-15).all()
         order = np.argsort(np.abs(vals))
         assert (np.diff(np.abs(out)[order]) >= -1e-15).all()
+
+
+def test_power_map_stack_bits_equal_formula():
+    rng = np.random.default_rng(11)
+    data = rng.uniform(-1, 1, size=(40, packed.packed_length(6)))
+    data[0, :10] = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 5e-324, -5e-324, 0.5, -0.5]
+    ends = tuple(date(2015, 2, 1) + timedelta(days=i) for i in range(40))
+    stack = MatrixStack(CorrMatrix, 6, data, ends)
+    for eps in (0.05, 0.3, 0.5, 0.7, 1.0):
+        want = np.sign(data) * np.abs(data) ** (1.0 + eps)
+        assert power_map(stack, eps).data.tobytes() == want.tobytes()
 
 
 def test_power_map_rejects_out_of_range():
@@ -413,15 +415,87 @@ def test_pipeline_matrices_with_sectors_yields_guhr():
     assert mats[0].dim == 2
 
 
-def test_dump_round_trip_exact():
-    rng = np.random.default_rng(20)
-    c = _corr_from_square(np.corrcoef(rng.normal(size=(6, 25))))
-    dump = dump_matrix(c)
-    loaded = load_matrix_dump(dump)
-    assert loaded.dim == 6
-    assert loaded.epoch_end == c.epoch_end
-    assert loaded.epoch_index == c.epoch_index
-    np.testing.assert_array_equal(loaded.data, c.data)
+@settings(max_examples=60, deadline=None)
+@given(
+    returns=arrays(
+        np.float64,
+        st.tuples(st.integers(20, 27), st.just(5)),
+        elements=st.floats(-0.1, 0.1, allow_subnormal=False),
+    ),
+    shift=st.integers(1, 3),
+    epsilon=st.sampled_from([0.0, 0.3]),
+    with_sectors=st.booleans(),
+)
+def test_pipeline_stack_rows_equal_per_epoch_chain(returns, shift, epsilon, with_sectors):
+    """One stack per run holds, bit for bit, what the per-epoch chain
+    epoch_correlation -> power_map -> coarse_grain gives each epoch."""
+    rt = _return_table(returns)
+    spec = EpochSpec(20, shift)
+    sm = None
+    if with_sectors:
+        sm = _sector_map(dict(zip(rt.tickers, ("s1", "s1", "s2", "s2", "s2"))))
+
+    def chain(i):
+        m = power_map(epoch_correlation(rt, i * shift, spec, epoch_index=i), epsilon)
+        return m if sm is None else coarse_grain(m, sm)
+
+    count = spec.window_count(rt.n_rows)
+    try:
+        stack = pipeline_matrices(rt, spec, epsilon, sm)
+    except DegenerateColumn as exc:
+        with pytest.raises(DegenerateColumn) as per_epoch:
+            for i in range(count):
+                chain(i)
+        assert str(per_epoch.value) == str(exc)
+        return
+    assert len(stack) == count
+    for i, m in enumerate(stack):
+        want = chain(i)
+        assert type(m) is type(want) is stack.kind
+        assert (m.epoch_index, m.epoch_end) == (i, want.epoch_end)
+        assert stack.data[i].tobytes() == want.data.tobytes()
+
+
+def test_singleton_sector_warns_once_per_stack():
+    rng = np.random.default_rng(23)
+    rt = _return_table(rng.normal(size=(30, 3)), tickers=("a", "b", "c"))
+    sm = _sector_map({"a": "s1", "b": "s1", "c": "s2"})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stack = pipeline_matrices(rt, EpochSpec(20, 1), 0.0, sm)
+    assert len(stack) == 11
+    assert (stack.data[:, packed.diagonal_positions(2)[1]] == 1.0).all()
+    assert sum(issubclass(w.category, SingletonSectorWarning) for w in caught) == 1
+
+
+def test_matrix_stack_of_and_indexing():
+    rng = np.random.default_rng(24)
+    mats = [
+        replace(_corr_from_square(np.corrcoef(rng.normal(size=(3, 30)))),
+                epoch_end=date(2015, 2, 1 + i), epoch_index=7)
+        for i in range(4)
+    ]
+    stack = MatrixStack.of(mats)
+    assert MatrixStack.of(stack) is stack
+    assert (stack.kind, stack.dim, len(stack)) == (CorrMatrix, 3, 4)
+    assert stack.epoch_ends == tuple(m.epoch_end for m in mats)
+    assert not stack.data.flags.writeable
+    last = stack[-1]
+    assert isinstance(last, CorrMatrix) and last.epoch_index == 3
+    np.testing.assert_array_equal(last.data, mats[3].data)
+    with pytest.raises(IndexError):
+        stack[4]
+    with pytest.raises(InsufficientData):
+        MatrixStack.of([])
+    guhr = GuhrMatrix(dim=3, data=mats[0].data, epoch_end=mats[0].epoch_end,
+                      sectors=("x", "y", "z"))
+    with pytest.raises(DimensionMismatch):
+        MatrixStack.of([mats[0], guhr])
+    small = _corr_from_square(np.eye(2))
+    with pytest.raises(DimensionMismatch):
+        MatrixStack.of([mats[0], small])
+    with pytest.raises(ValidationError):
+        MatrixStack(CorrMatrix, 4, stack.data, stack.epoch_ends)
 
 
 def test_scaling_scales_distance():

@@ -2,6 +2,8 @@
 ingest pipeline and reproduce its own correlation design, and the chain
 sampler must match the statistics of the matrix it samples from."""
 
+import bisect
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,11 @@ from marketstates.errors import (
     ValidationError,
 )
 from marketstates.ingest import log_returns
-from marketstates.markov import transition_matrix
+from marketstates.markov import (
+    TransitionMatrix,
+    equilibrium_distribution,
+    transition_matrix,
+)
 from marketstates.synth import (
     RegimeSpec,
     START_PRICE,
@@ -166,6 +172,32 @@ def test_markov_sequence_determinism_and_validation():
         generate_markov_sequence(np.array([[0.5, 0.4], [0.5, 0.5]]), 10, seed=0)
     with pytest.raises(ValidationError):
         generate_markov_sequence(np.ones((2, 3)) / 3, 10, seed=0)
+
+
+def _per_step_bisect_sampler(p, length, seed):
+    """Reference sampler: one Python step per state, inverting the row
+    CDF with bisect after an equilibrium-drawn start."""
+    k = p.shape[0]
+    t = TransitionMatrix(k=k, counts=np.zeros((k, k), dtype=np.int64), probs=p,
+                         n_transitions=0)
+    rng = np.random.default_rng(seed)
+    s = int(rng.choice(k, p=equilibrium_distribution(t).pi))
+    states = [s + 1]
+    cum_rows = [list(np.cumsum(p[i])) for i in range(k)]
+    for u in rng.random(length - 1):
+        s = min(bisect.bisect_right(cum_rows[s], u), k - 1)
+        states.append(s + 1)
+    return np.array(states)
+
+
+def test_markov_sequence_matches_per_step_bisect_reference():
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        k = int(rng.integers(2, 9))
+        p = rng.dirichlet(np.ones(k), size=k)
+        length = int(rng.integers(1, 3001)) if trial else 1
+        seq = generate_markov_sequence(p, length, seed=trial)
+        np.testing.assert_array_equal(seq.states, _per_step_bisect_sampler(p, length, trial))
 
 
 def test_markov_sequence_periodic_chain_propagates():
