@@ -35,7 +35,7 @@ print(f"tridiagonality: {tridiagonality(t):.3f} "
 
 eq = equilibrium_distribution(t)
 print("equilibrium:", " ".join(f"{p:.3f}" for p in eq.pi),
-      f"(power iteration, {eq.steps} steps)")
+      f"(limit of the uniform start, {eq.steps} squarings of the chain)")
 
 report = markovianity_check(seq, BootstrapPolicy(seed=0), k=4)
 print(f"markovianity: statistic {report.statistic:.4f} vs "

@@ -46,6 +46,7 @@ from .ingest import (
 )
 from .markov import (
     BootstrapPolicy,
+    check_damping,
     equilibrium_distribution,
     markovianity_check,
     transition_matrix,
@@ -329,6 +330,9 @@ def cmd_optimize(cfg, out_dir: Path):
 def cmd_transitions(cfg, out_dir: Path):
     if cfg.stride < 1:
         raise ParameterRange(f"stride must be >= 1, got {cfg.stride}")
+    if cfg.k < 2:
+        raise ParameterRange(f"transitions need k >= 2 for tridiagonality, got {cfg.k}")
+    check_damping(cfg.damping)
     _, _, seq = _state_pipeline(cfg)
     states = seq.states[:: cfg.stride]
     t = transition_matrix(states, k=seq.k)

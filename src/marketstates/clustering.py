@@ -5,7 +5,7 @@ a MatrixStack (a matrix list is stacked once by ``MatrixStack.of``, and
 a 2-D array is taken as packed rows as it is), under the same L1
 distance used everywhere else (``metric="l1"``, the default); centroids
 are element-wise means. The mean/L1 hybrid lacks a textbook monotone
-convergence guarantee, so max_iter bounds every run; ``metric="l2"``
+convergence guarantee, so MAX_ITER bounds every run; ``metric="l2"``
 selects classical Lloyd with its usual guarantees.
 
 Model selection follows the dispersion-of-restarts signal: run k-means
@@ -14,7 +14,7 @@ deviation of the per-run d_intra values, and pick the (k, epsilon) grid
 cell where that deviation is smallest among cells with k at or above an
 explicit admissibility floor.
 
-Determinism contract: given (matrices, k, seed, max_iter, metric) the
+Determinism contract: given (matrices, k, seed, metric) the
 assignment vector is bit-identical across runs, thread counts, and
 schedules. Restarts derive sub-seeds from the base seed by index, so a
 parallel restart pool returns exactly what the serial loop returns.
@@ -51,6 +51,7 @@ from .ingest import ReturnTable, SectorMap
 from .rng import subseed
 
 _METRICS = ("l1", "l2")
+MAX_ITER = 300
 
 
 def _packed_rows(matrices) -> np.ndarray:
@@ -61,6 +62,12 @@ def _packed_rows(matrices) -> np.ndarray:
     if pts.ndim != 2:
         raise ValidationError("expected a 2-D array of packed rows")
     return pts
+
+
+def _check_threads(threads: int | None):
+    """None runs restarts serially; a worker count must be at least 1."""
+    if threads is not None and threads < 1:
+        raise ParameterRange(f"threads must be >= 1, got {threads}")
 
 
 def _point_distances(pts: np.ndarray, centroids: np.ndarray, metric: str) -> np.ndarray:
@@ -76,7 +83,7 @@ def _to_distance(values: np.ndarray, metric: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Clustering:
-    """One converged (or max_iter-truncated) k-means run."""
+    """One converged (or MAX_ITER-truncated) k-means run."""
 
     k: int
     assignments: np.ndarray
@@ -100,7 +107,6 @@ def kmeans(
     matrices,
     k: int,
     seed: int,
-    max_iter: int = 300,
     metric: str = "l1",
 ) -> Clustering:
     """Lloyd-style k-means with seeded initialization.
@@ -118,8 +124,6 @@ def kmeans(
         raise ParameterRange(f"k must be >= 1, got {k}")
     if k > n:
         raise InsufficientData(f"k={k} exceeds {n} matrices")
-    if max_iter < 1:
-        raise ParameterRange(f"max_iter must be >= 1, got {max_iter}")
     if metric not in _METRICS:
         raise ParameterRange(f"metric must be one of {_METRICS}, got {metric!r}")
 
@@ -130,7 +134,7 @@ def kmeans(
     iterations = 0
     converged = False
 
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         iterations += 1
         dist = _point_distances(pts, centroids, metric)
         new_assign = dist.argmin(axis=1)
@@ -181,7 +185,6 @@ def sigma_intra(
     k: int,
     n_init: int,
     seed: int,
-    max_iter: int = 300,
     metric: str = "l1",
     threads: int | None = None,
 ) -> SigmaIntraResult:
@@ -194,11 +197,12 @@ def sigma_intra(
     """
     if n_init < 2:
         raise ParameterRange(f"n_init must be >= 2, got {n_init}")
+    _check_threads(threads)
     pts = _packed_rows(matrices)
     seeds = [subseed(seed, i) for i in range(n_init)]
 
     def run(s: int) -> Clustering:
-        return kmeans(pts, k, s, max_iter=max_iter, metric=metric)
+        return kmeans(pts, k, s, metric=metric)
 
     if threads is not None and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -256,7 +260,6 @@ def optimize_states(
     k_min_admissible: int,
     n_init: int,
     seed: int,
-    max_iter: int = 300,
     metric: str = "l1",
     threads: int | None = None,
 ) -> GridResult:
@@ -276,6 +279,7 @@ def optimize_states(
     for e in eps_list:
         if not 0.0 <= e <= 1.0:
             raise ParameterRange(f"epsilon must be in [0, 1], got {e}")
+    _check_threads(threads)
     if not any(k >= k_min_admissible for k in k_list):
         raise ValidationError(
             f"no k in {k_list} reaches the admissibility floor {k_min_admissible}"
@@ -297,10 +301,7 @@ def optimize_states(
                 cells.append(GridCell(k, eps, float("nan"), float("nan"), col_error))
                 continue
             try:
-                res = sigma_intra(
-                    mats, k, n_init, seed,
-                    max_iter=max_iter, metric=metric, threads=threads,
-                )
+                res = sigma_intra(mats, k, n_init, seed, metric=metric, threads=threads)
                 cells.append(GridCell(k, eps, res.sigma_intra, res.mean_d_intra))
             except MarketStatesError as exc:
                 cells.append(

@@ -104,10 +104,12 @@ class DegenerateColumn(ComputationError):
 
 
 class NonErgodic(ComputationError):
-    """Power iteration did not converge; the chain is periodic or reducible.
+    """The chain has no equilibrium reached from the uniform start: it is
+    periodic (an eigenvalue of modulus 1 other than 1), or its repeated
+    squaring did not settle.
 
     Retrying with a small damping (mix the transition matrix with the
-    uniform one, ``damping=1e-3``) usually resolves it.
+    uniform one, ``damping=1e-3``) resolves it.
     """
 
 

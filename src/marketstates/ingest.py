@@ -231,10 +231,10 @@ def parse_price_table(text: str) -> PriceTable:
     )
 
 
-def price_table_csv(table: PriceTable, date_header: str = "date") -> str:
+def price_table_csv(table: PriceTable) -> str:
     """Render a PriceTable back into the file format consumed by this module."""
     out = io.StringIO()
-    out.write(date_header + "," + ",".join(table.tickers) + "\n")
+    out.write("date," + ",".join(table.tickers) + "\n")
     for t, day in enumerate(table.dates):
         cells = [
             "" if math.isnan(p) else format(p, ".17g") for p in table.prices[t]

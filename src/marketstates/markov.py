@@ -82,34 +82,41 @@ def transition_matrix(seq, k: int | None = None) -> TransitionMatrix:
     )
 
 
-def equilibrium_distribution(
-    t: TransitionMatrix,
-    damping: float = 0.0,
-    tol: float = 1e-13,
-    max_steps: int = 10**6,
-) -> EquilibriumVector:
-    """Left fixed point by power iteration from the uniform vector.
+MAX_SQUARINGS = 64
 
-    A periodic chain can oscillate forever; that raises NonErgodic and
-    the fix is a small damping (1e-3 converges within the default step
-    budget and biases pi by O(damping)), which mixes the chain with the
-    uniform one: P' = (1-damping) P + damping / k.
-    """
+
+def check_damping(damping: float):
+    """Damping mixes the chain with the uniform one and must lie in [0, 1)."""
     if not 0.0 <= damping < 1.0:
         raise ParameterRange(f"damping must be in [0, 1), got {damping}")
+
+
+def equilibrium_distribution(t: TransitionMatrix, damping: float = 0.0) -> EquilibriumVector:
+    """Limit of the uniform start, (1/k) 1 P^n for growing n, so reducible
+    aperiodic chains keep their limit. P is squared, rows renormalized,
+    until a product moves by less than 1e-13; ``steps`` counts squarings.
+
+    An eigenvalue of modulus 1 other than 1 marks a periodic chain, which
+    raises NonErgodic at once. The fix is a small damping (1e-3 biases pi
+    by O(damping)), which mixes the chain with the uniform one:
+    P' = (1-damping) P + damping / k.
+    """
+    check_damping(damping)
     p = t.probs
     if damping:
         p = (1.0 - damping) * p + damping / t.k
-    pi = np.full(t.k, 1.0 / t.k)
-    for step in range(1, max_steps + 1):
-        nxt = pi @ p
-        nxt /= nxt.sum()
-        if np.abs(nxt - pi).max() < tol:
-            return EquilibriumVector(pi=nxt, steps=step, damping=damping)
-        pi = nxt
+    lam = np.linalg.eigvals(p)
+    if ((np.abs(np.abs(lam) - 1.0) < 1e-9) & (np.abs(lam - 1.0) >= 1e-9)).any():
+        raise NonErgodic("the chain is periodic; retry with damping=1e-3")
+    for step in range(1, MAX_SQUARINGS + 1):
+        nxt = p @ p
+        nxt /= nxt.sum(axis=1, keepdims=True)
+        if np.abs(nxt - p).max() < 1e-13:
+            pi = nxt.mean(axis=0)
+            return EquilibriumVector(pi=pi / pi.sum(), steps=step, damping=damping)
+        p = nxt
     raise NonErgodic(
-        f"power iteration did not converge in {max_steps} steps; "
-        "the chain may be periodic; retry with damping=1e-3"
+        f"P^(2^n) did not settle in {MAX_SQUARINGS} squarings; retry with damping=1e-3"
     )
 
 

@@ -204,17 +204,12 @@ def embedding_table(e: Embedding) -> str:
     return "\n".join(lines) + "\n"
 
 
-def embedding_svg(
-    e: Embedding,
-    axis_a: int = 1,
-    axis_b: int = 2,
-    width: int = 640,
-    height: int = 480,
-) -> str:
-    """Standalone scatter SVG, one circle per point, colored by state
-    from a fixed 8-color palette; axis labels carry each axis's share of
-    positive eigenvalue mass."""
-    points = project_2d(e, axis_a, axis_b)
+def embedding_svg(e: Embedding) -> str:
+    """Standalone 640x480 scatter SVG of axes 1 and 2, one circle per
+    point, colored by state from a fixed 8-color palette; axis labels
+    carry each axis's share of positive eigenvalue mass."""
+    points = project_2d(e)
+    width, height = 640, 480
     margin = 48.0
     xs = np.array([p[0] for p in points])
     ys = np.array([p[1] for p in points])
@@ -229,8 +224,8 @@ def embedding_svg(
     # svg y axis points down
     py = scale(ys, height - margin, margin)
 
-    label_a = f"axis {axis_a} ({100 * e.axis_fraction(axis_a):.1f}% of positive mass)"
-    label_b = f"axis {axis_b} ({100 * e.axis_fraction(axis_b):.1f}% of positive mass)"
+    label_a = f"axis 1 ({100 * e.axis_fraction(1):.1f}% of positive mass)"
+    label_b = f"axis 2 ({100 * e.axis_fraction(2):.1f}% of positive mass)"
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',

@@ -17,15 +17,6 @@ def packed_length(dim: int) -> int:
     return dim * (dim + 1) // 2
 
 
-def dim_from_length(length: int) -> int:
-    """Matrix dimension whose packed upper triangle has ``length`` entries."""
-    dim = int((np.sqrt(8 * length + 1) - 1) / 2)
-    for cand in (dim - 1, dim, dim + 1):
-        if cand > 0 and packed_length(cand) == length:
-            return cand
-    raise ValueError(f"{length} is not a triangular-with-diagonal length")
-
-
 @lru_cache(maxsize=128)
 def upper_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Row/column indices of the packed entries, in packing order."""
@@ -62,11 +53,9 @@ def pack(square: np.ndarray) -> np.ndarray:
     return square[rows, cols].copy()
 
 
-def unpack(packed: np.ndarray, dim: int | None = None) -> np.ndarray:
+def unpack(packed: np.ndarray, dim: int) -> np.ndarray:
     """Expand a packed vector back to the full symmetric matrix."""
     packed = np.asarray(packed, dtype=np.float64)
-    if dim is None:
-        dim = dim_from_length(packed.shape[-1])
     rows, cols = upper_indices(dim)
     full = np.empty((dim, dim), dtype=np.float64)
     full[rows, cols] = packed

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from marketstates import cli
 from marketstates.cli import build_parser, main, merge_config
 from marketstates.ingest import load_price_table
 
@@ -293,6 +294,38 @@ def test_transitions_bad_stride(market, tmp_path):
         "--k", 2, "--stride", 0,
     ])
     assert rc == 1
+
+
+def test_transitions_bad_k_or_damping_fail_before_loading(
+    market, tmp_path, monkeypatch, capsys
+):
+    def unreachable(path):
+        raise AssertionError("the price table was read")
+
+    monkeypatch.setattr(cli, "load_price_table", unreachable)
+    for extra, word in (
+        (["--k", 1], "k >= 2"),
+        (["--k", 2, "--damping", 1.0], "damping"),
+        (["--k", 2, "--damping", -0.1], "damping"),
+    ):
+        rc = _run([
+            "transitions", "--prices", market / "prices.csv", "--out", tmp_path,
+            *extra,
+        ])
+        assert rc == 1
+        assert word in capsys.readouterr().err
+    assert not (tmp_path / "run_meta.json").exists()
+
+
+def test_threads_below_one_exit_one(market, tmp_path, capsys):
+    for threads in (0, -3):
+        rc = _run([
+            "states", "--prices", market / "prices.csv", "--out", tmp_path,
+            "--k", 2, "--n-init", 2, "--threads", threads,
+        ])
+        assert rc == 1
+        assert "threads must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "run_meta.json").exists()
 
 
 # ------------------------------------------------------------------ mds

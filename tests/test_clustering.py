@@ -137,8 +137,6 @@ def test_parameter_errors():
         kmeans(pts, k=7, seed=0)
     with pytest.raises(ParameterRange):
         kmeans(pts, k=2, seed=0, metric="cosine")
-    with pytest.raises(ParameterRange):
-        kmeans(pts, k=2, seed=0, max_iter=0)
     with pytest.raises(InsufficientData):
         kmeans([], k=1, seed=0)
     mixed = [_constant_corr(0.2, 3, 0), _constant_corr(0.2, 4, 1)]
@@ -240,6 +238,19 @@ def test_sigma_requires_two_restarts():
     pts = np.random.default_rng(12).normal(size=(20, 4))
     with pytest.raises(ParameterRange):
         sigma_intra(pts, k=2, n_init=1, seed=0)
+
+
+def test_thread_count_below_one_rejected():
+    pts = np.random.default_rng(12).normal(size=(20, 4))
+    rt = _return_table(44, 4, seed=17)
+    for bad in (0, -3):
+        with pytest.raises(ParameterRange, match="threads"):
+            sigma_intra(pts, k=2, n_init=2, seed=0, threads=bad)
+        with pytest.raises(ParameterRange, match="threads"):
+            optimize_states(rt, EpochSpec(20, 1), None, [0.0], [2], 2, 4, 0, threads=bad)
+    assert sigma_intra(pts, k=2, n_init=2, seed=0, threads=1).d_intras == (
+        sigma_intra(pts, k=2, n_init=2, seed=0, threads=None).d_intras
+    )
 
 
 def _manual_clustering(assignments, k):

@@ -1,8 +1,12 @@
 import json
+import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from marketstates.errors import (
     InsufficientSequence,
@@ -11,6 +15,7 @@ from marketstates.errors import (
     ValidationError,
 )
 from marketstates.markov import (
+    MAX_SQUARINGS,
     BootstrapPolicy,
     EquilibriumVector,
     TransitionMatrix,
@@ -125,10 +130,73 @@ def test_periodic_chain_raises_and_damping_fixes():
     p = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
     t = _tm(p)
     with pytest.raises(NonErgodic):
-        equilibrium_distribution(t, max_steps=1000)
+        equilibrium_distribution(t)
     ev = equilibrium_distribution(t, damping=1e-3)
     np.testing.assert_allclose(ev.pi, [0.25, 0.5, 0.25], atol=1e-3)
     assert ev.damping == 1e-3
+
+
+def _positive_chain(k: int):
+    return arrays(np.float64, (k, k), elements=st.floats(0.01, 1.0)).map(
+        lambda a: a / a.sum(axis=1, keepdims=True)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 10).flatmap(_positive_chain))
+def test_equilibrium_of_positive_chain_is_exact_fixed_point(p):
+    ev = equilibrium_distribution(_tm(p))
+    np.testing.assert_allclose(ev.pi @ p, ev.pi, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ev.pi, dense_equilibrium(p), rtol=0, atol=1e-12)
+    assert 1 <= ev.steps <= MAX_SQUARINGS
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda d: st.permutations(range(d))))
+@example([0, 1])  # [[0, 1], [1, 0]]
+def test_cyclic_permutation_chain_raises_at_once(order):
+    """Every state moves to the next one in a d-cycle: period d. The
+    uniform start is stationary here, so only the spectrum shows it."""
+    d = len(order)
+    p = np.zeros((d, d))
+    p[order, np.roll(order, -1)] = 1.0
+    t0 = time.perf_counter()
+    with pytest.raises(NonErgodic, match="damping=1e-3"):
+        equilibrium_distribution(_tm(p))
+    assert time.perf_counter() - t0 < 0.1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 4).flatmap(_positive_chain), min_size=2, max_size=3))
+def test_block_diagonal_chain_weights_blocks_by_size(blocks):
+    """A reducible chain of closed positive blocks keeps its uniform-start
+    limit: block b carries weight |b|/k, spread as its own pi_b."""
+    sizes = [b.shape[0] for b in blocks]
+    k = sum(sizes)
+    p = np.zeros((k, k))
+    want = np.zeros(k)
+    lo = 0
+    for b, size in zip(blocks, sizes):
+        p[lo:lo + size, lo:lo + size] = b
+        want[lo:lo + size] = size / k * dense_equilibrium(b)
+        lo += size
+    ev = equilibrium_distribution(_tm(p))
+    np.testing.assert_allclose(ev.pi, want, rtol=0, atol=1e-12)
+
+
+def test_sticky_chains_match_dense_solve():
+    """Self-transitions near 0.99 put the second eigenvalue near 1, where
+    a step-by-step iteration stops early; squaring reaches the limit."""
+    rng = np.random.default_rng(13)
+    worst = 0.0
+    for _ in range(300):
+        k = int(rng.integers(2, 11))
+        off = rng.random((k, k))
+        np.fill_diagonal(off, 0.0)
+        p = 0.01 * off / off.sum(axis=1, keepdims=True) + 0.99 * np.eye(k)
+        ev = equilibrium_distribution(_tm(p))
+        worst = max(worst, np.abs(ev.pi - dense_equilibrium(p)).max())
+    assert worst <= 1e-12
 
 
 def test_equilibrium_damping_range():
