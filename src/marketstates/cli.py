@@ -33,6 +33,7 @@ from .clustering import (
 from .corrmat import EpochSpec, pipeline_matrices
 from .errors import (
     ComputationError,
+    InsufficientSequence,
     MarketStatesError,
     ParameterRange,
     ValidationError,
@@ -120,7 +121,7 @@ _OPTION_DEFS = {
     "pipeline": (_choice("pearson", "guhr"), "cluster stock-level or sector-level matrices"),
     "stride": (int, "subsample the state sequence before counting transitions"),
     "damping": (float, "equilibrium damping toward the uniform chain"),
-    "threads": (int, "worker threads for restarts"),
+    "threads": (int, "worker threads for restarts and distance tiles"),
     "sector_sizes": (_int_list, "synthetic sector sizes, comma list"),
     "intra": (_float_list, "per-regime intra-sector correlation levels"),
     "inter": (_float_list, "per-regime inter-sector correlation levels"),
@@ -268,8 +269,7 @@ def _prepare_data(cfg):
     return returns, sectors
 
 
-def _state_pipeline(cfg):
-    returns, sectors = _prepare_data(cfg)
+def _state_pipeline(cfg, returns, sectors):
     spec = EpochSpec(length=cfg.epoch, shift=cfg.shift)
     mats = pipeline_matrices(returns, spec, cfg.epsilon, sectors)
     result = sigma_intra(
@@ -292,7 +292,7 @@ def _states_csv(seq) -> str:
 
 
 def cmd_states(cfg, out_dir: Path):
-    _, result, seq = _state_pipeline(cfg)
+    _, result, seq = _state_pipeline(cfg, *_prepare_data(cfg))
     _write(out_dir, "states.csv", _states_csv(seq))
     counts = {int(s): int((seq.states == s).sum()) for s in range(1, seq.k + 1)}
     summary = {
@@ -333,7 +333,15 @@ def cmd_transitions(cfg, out_dir: Path):
     if cfg.k < 2:
         raise ParameterRange(f"transitions need k >= 2 for tridiagonality, got {cfg.k}")
     check_damping(cfg.damping)
-    _, _, seq = _state_pipeline(cfg)
+    returns, sectors = _prepare_data(cfg)
+    epochs = EpochSpec(length=cfg.epoch, shift=cfg.shift).window_count(returns.n_rows)
+    kept = len(range(0, epochs, cfg.stride))
+    if kept < 3:
+        raise InsufficientSequence(
+            f"--stride {cfg.stride} keeps {kept} of {epochs} epochs; the "
+            "Markov check needs at least 3 states"
+        )
+    _, _, seq = _state_pipeline(cfg, returns, sectors)
     states = seq.states[:: cfg.stride]
     t = transition_matrix(states, k=seq.k)
     eq = equilibrium_distribution(t, damping=cfg.damping)
@@ -342,8 +350,8 @@ def cmd_transitions(cfg, out_dir: Path):
 
 
 def cmd_mds(cfg, out_dir: Path):
-    mats, _, seq = _state_pipeline(cfg)
-    dm = distance_matrix(mats)
+    mats, _, seq = _state_pipeline(cfg, *_prepare_data(cfg))
+    dm = distance_matrix(mats, threads=cfg.threads)
     emb = classical_mds(dm, 3, states=seq.states, epoch_ends=seq.epoch_ends)
     _write(out_dir, "embedding.csv", embedding_table(emb))
     _write(out_dir, "embedding.svg", embedding_svg(emb))

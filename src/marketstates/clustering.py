@@ -65,9 +65,19 @@ def _packed_rows(matrices) -> np.ndarray:
 
 
 def _check_threads(threads: int | None):
-    """None runs restarts serially; a worker count must be at least 1."""
+    """None runs serially; a worker count must be at least 1."""
     if threads is not None and threads < 1:
         raise ParameterRange(f"threads must be >= 1, got {threads}")
+
+
+def thread_map(fn, items, threads: int | None) -> list:
+    """``[fn(x) for x in items]`` in order, on ``threads`` worker threads
+    when more than one; None or 1 runs serially."""
+    _check_threads(threads)
+    if threads is not None and threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def _point_distances(pts: np.ndarray, centroids: np.ndarray, metric: str) -> np.ndarray:
@@ -197,18 +207,13 @@ def sigma_intra(
     """
     if n_init < 2:
         raise ParameterRange(f"n_init must be >= 2, got {n_init}")
-    _check_threads(threads)
     pts = _packed_rows(matrices)
     seeds = [subseed(seed, i) for i in range(n_init)]
 
     def run(s: int) -> Clustering:
         return kmeans(pts, k, s, metric=metric)
 
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(run, seeds))
-    else:
-        runs = [run(s) for s in seeds]
+    runs = thread_map(run, seeds, threads)
 
     d = np.array([r.d_intra for r in runs])
     best_i = min(range(n_init), key=lambda i: (d[i], seeds[i]))

@@ -144,6 +144,11 @@ class MatrixStack:
         if not seq:
             raise InsufficientData("no matrices to stack")
         kinds = {type(m) for m in seq}
+        if not kinds <= {CorrMatrix, GuhrMatrix}:
+            names = sorted(t.__name__ for t in kinds - {CorrMatrix, GuhrMatrix})
+            raise ValidationError(
+                f"expected CorrMatrix or GuhrMatrix items, got {names}"
+            )
         if len(kinds) > 1:
             names = sorted(t.__name__ for t in kinds)
             raise DimensionMismatch(f"mixed matrix kinds {names}")

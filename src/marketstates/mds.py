@@ -1,10 +1,18 @@
 """Classical (Torgerson) multidimensional scaling of the matrix cloud.
 
-The pairwise L1 distances between packed matrices are generally not
-Euclidean-realizable, so the double-centered Gram matrix can have
-negative eigenvalues. Those are clamped to zero columns, reported via a
-warning, and the captured-mass fraction accounts only for positive
-eigenvalue mass; nothing is hidden or renormalized away.
+The pairwise L1 distances between packed matrices are computed in row
+tiles of ``TILE_ROWS`` epochs, each written straight into packed
+storage, on the worker threads the caller passes (scipy's distance
+kernels release the GIL). Every pair goes through the same cityblock
+sum whatever the tiling or thread count, so the distances are
+bit-identical across both. Double centring works in place on the one
+square matrix unpacked for the eigensolver.
+
+These distances are generally not Euclidean-realizable, so the
+double-centered Gram matrix can have negative eigenvalues. Those are
+clamped to zero columns, reported via a warning, and the captured-mass
+fraction accounts only for positive eigenvalue mass; nothing is hidden
+or renormalized away.
 
 Coordinates follow a fixed sign convention (the entry of largest
 absolute value in each column is positive), which makes embeddings
@@ -19,9 +27,10 @@ from datetime import date
 
 import numpy as np
 from scipy.sparse.linalg import eigsh
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from . import packed
+from .clustering import thread_map
 from .corrmat import MatrixStack
 from .errors import DegradedRankWarning, ParameterRange, ValidationError
 
@@ -31,6 +40,7 @@ PALETTE = (
 )
 
 DENSE_CUTOFF = 1500
+TILE_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -51,7 +61,14 @@ class DistanceMatrix:
             raise ValidationError("distance diagonal must be zero")
 
     def full(self) -> np.ndarray:
-        return packed.unpack(self.d, self.n)
+        """The symmetric square, filled row by row from packed storage."""
+        n = self.n
+        full = np.empty((n, n))
+        for i, start in enumerate(packed.diagonal_positions(n)):
+            row = self.d[start : start + n - i]
+            full[i, i:] = row
+            full[i:, i] = row
+        return full
 
 
 @dataclass(frozen=True)
@@ -81,23 +98,49 @@ class Embedding:
         return lam / self.positive_mass if self.positive_mass > 0 else 0.0
 
 
-def distance_matrix(matrices) -> DistanceMatrix:
-    """All pairwise distances between the rows of a MatrixStack (or a
-    matrix list, stacked once), computed into packed storage."""
+def distance_matrix(matrices, threads: int | None = None) -> DistanceMatrix:
+    """All pairwise L1 distances between the rows of a MatrixStack (or a
+    matrix list, stacked once), computed into packed storage.
+
+    Rows go in tiles of ``TILE_ROWS``; a tile's pairs among its own rows
+    and with every later row are written at their packed offsets. With
+    ``threads`` > 1 the tiles run on that many worker threads; None runs
+    them serially. The result does not depend on either.
+    """
     stack = MatrixStack.of(matrices)
     n = len(stack)
     if n < 2:
         raise ValidationError("need at least 2 matrices")
+    pts = stack.data
     d = np.zeros(packed.packed_length(n))
-    d[packed.strict_upper_mask(n)] = pdist(stack.data, "cityblock")
+    diag = packed.diagonal_positions(n)
+
+    def tile(lo: int):
+        hi = min(lo + TILE_ROWS, n)
+        inner = pdist(pts[lo:hi], "cityblock")
+        outer = cdist(pts[lo:hi], pts[hi:], "cityblock")
+        taken = 0
+        for i in range(lo, hi):
+            start, inside = diag[i] + 1, hi - i - 1
+            d[start : start + inside] = inner[taken : taken + inside]
+            d[start + inside : start + n - i - 1] = outer[i - lo]
+            taken += inside
+
+    thread_map(tile, range(0, n, TILE_ROWS), threads)
     return DistanceMatrix(n=n, d=d)
 
 
-def _double_center(d_full: np.ndarray) -> np.ndarray:
-    a = -0.5 * d_full**2
+def _double_center(a: np.ndarray) -> np.ndarray:
+    """-1/2 J (a*a) J, computed in place on ``a`` and returned."""
+    np.square(a, out=a)
+    a *= -0.5
     row = a.mean(axis=1, keepdims=True)
     col = a.mean(axis=0, keepdims=True)
-    return a - row - col + a.mean()
+    mean = a.mean()
+    a -= row
+    a -= col
+    a += mean
+    return a
 
 
 def classical_mds(

@@ -317,6 +317,26 @@ def test_transitions_bad_k_or_damping_fail_before_loading(
     assert not (tmp_path / "run_meta.json").exists()
 
 
+def test_transitions_large_stride_fails_before_clustering(
+    market, tmp_path, monkeypatch, capsys
+):
+    """A stride that leaves fewer than 3 states is rejected once the epoch
+    count is known, before any matrix is clustered."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the epochs were clustered")
+
+    monkeypatch.setattr(cli, "sigma_intra", unreachable)
+    for stride in (111, 200, 500):
+        rc = _run([
+            "transitions", "--prices", market / "prices.csv", "--out", tmp_path,
+            "--k", 2, "--stride", stride,
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "InsufficientSequence" in err and f"of {N_EPOCHS} epochs" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_threads_below_one_exit_one(market, tmp_path, capsys):
     for threads in (0, -3):
         rc = _run([
@@ -343,6 +363,22 @@ def test_mds_artifacts(mds_out, states_out):
     svg = (mds_out / "embedding.svg").read_text()
     assert svg.lstrip().startswith("<svg")
     assert "<circle" in svg and "axis 1" in svg
+
+
+def test_mds_threads_do_not_change_artifacts(market, tmp_path):
+    """Distance tiles and restarts split over threads; the embedding
+    matches byte for byte across thread counts."""
+    outs = []
+    for threads in (1, 3):
+        d = tmp_path / f"t{threads}"
+        rc = _run([
+            "mds", "--prices", market / "prices.csv", "--out", d,
+            "--k", 2, "--n-init", 4, "--seed", 0, "--threads", threads,
+        ])
+        assert rc == 0
+        outs.append([(d / name).read_bytes()
+                     for name in ("embedding.csv", "embedding.svg")])
+    assert outs[0] == outs[1]
 
 
 # ----------------------------------------------------------- exit codes

@@ -2,10 +2,13 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, squareform
 
 from marketstates import packed
-from marketstates.corrmat import CorrMatrix, EpochSpec, GuhrMatrix
+from marketstates.clustering import kmeans, order_states
+from marketstates.corrmat import CorrMatrix, EpochSpec, GuhrMatrix, MatrixStack
 from marketstates.errors import (
     DegradedRankWarning,
     DimensionMismatch,
@@ -14,8 +17,10 @@ from marketstates.errors import (
 )
 from marketstates.ingest import log_returns
 from marketstates.mds import (
+    TILE_ROWS,
     DistanceMatrix,
     PALETTE,
+    _double_center,
     classical_mds,
     distance_matrix,
     embedding_svg,
@@ -88,6 +93,82 @@ def test_distance_matrix_duplicates_and_validation():
     small = _corr(np.corrcoef(rng.normal(size=(3, 30))), 2)
     with pytest.raises(DimensionMismatch):
         distance_matrix([mats[0], small])
+    with pytest.raises(ParameterRange):
+        distance_matrix(mats, threads=0)
+
+
+def test_raw_arrays_raise_validation_error():
+    rng = np.random.default_rng(11)
+    rows = rng.normal(size=(4, 6))
+    with pytest.raises(ValidationError, match="CorrMatrix or GuhrMatrix"):
+        MatrixStack.of(rows)
+    with pytest.raises(ValidationError):
+        distance_matrix(rows)
+    c = kmeans(rows, 2, seed=0)
+    with pytest.raises(ValidationError):
+        order_states(c, rows)
+    with pytest.raises(ValidationError):
+        MatrixStack.of([_corr(np.eye(3), 0), "not a matrix"])
+
+
+def _stack(points: np.ndarray, dim: int) -> MatrixStack:
+    ends = tuple(date(2016, 1, 1) + timedelta(days=i) for i in range(len(points)))
+    return MatrixStack(CorrMatrix, dim, points, ends)
+
+
+def _rough_values(rng, shape) -> np.ndarray:
+    """Values spanning 17 decades, so any change in summation order
+    shows in the last bits."""
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([2, 3, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 2 * TILE_ROWS + 5]),
+    threads=st.sampled_from([None, 1, 2, 3]),
+    dim=st.sampled_from([2, 3, 8]),
+    seed=st.integers(0, 2**32 - 1),
+    repeats=st.booleans(),
+)
+def test_tiled_distances_equal_pdist_bits(n, threads, dim, seed, repeats):
+    rng = np.random.default_rng(seed)
+    points = _rough_values(rng, (n, packed.packed_length(dim)))
+    if repeats:
+        points[rng.integers(0, n, size=n // 2)] = points[0]
+    want = np.zeros(packed.packed_length(n))
+    want[packed.strict_upper_mask(n)] = pdist(points, "cityblock")
+    got = distance_matrix(_stack(points, dim), threads=threads)
+    assert got.n == n
+    assert got.d.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+def test_full_equals_unpack(n, seed):
+    d = np.abs(_rough_values(np.random.default_rng(seed), packed.packed_length(n)))
+    d[packed.diagonal_positions(n)] = 0.0
+    full = DistanceMatrix(n=n, d=d).full()
+    assert full.tobytes() == packed.unpack(d, n).tobytes()
+
+
+def _double_center_reference(d_full: np.ndarray) -> np.ndarray:
+    """The out-of-place formula the in-place version must match."""
+    a = -0.5 * d_full**2
+    row = a.mean(axis=1, keepdims=True)
+    col = a.mean(axis=0, keepdims=True)
+    return a - row - col + a.mean()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 80), seed=st.integers(0, 2**32 - 1))
+def test_double_center_in_place_equals_formula(n, seed):
+    d = np.abs(_rough_values(np.random.default_rng(seed), packed.packed_length(n)))
+    d[packed.diagonal_positions(n)] = 0.0
+    square = packed.unpack(d, n)
+    want = _double_center_reference(square)
+    got = _double_center(square)
+    assert got is square
+    assert got.tobytes() == want.tobytes()
 
 
 def test_distance_container_validation():
