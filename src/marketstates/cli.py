@@ -24,13 +24,15 @@ from types import SimpleNamespace
 
 from . import __version__
 from .clustering import (
+    check_n_init,
+    check_threads,
     grid_csv,
     grid_summary_json,
     optimize_states,
     order_states,
     sigma_intra,
 )
-from .corrmat import EpochSpec, pipeline_matrices
+from .corrmat import EpochSpec, check_epsilon, pipeline_matrices
 from .errors import (
     ComputationError,
     InsufficientSequence,
@@ -253,7 +255,18 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _check_ranges(cfg):
+    """Range checks that need no data, made before any input is read."""
+    if hasattr(cfg, "k") and cfg.k < 1:
+        raise ParameterRange(f"k must be >= 1, got {cfg.k}")
+    check_n_init(cfg.n_init)
+    check_threads(cfg.threads)
+    for eps in cfg.epsilon_grid if hasattr(cfg, "epsilon_grid") else [cfg.epsilon]:
+        check_epsilon(eps)
+
+
 def _prepare_data(cfg):
+    _check_ranges(cfg)
     if not Path(cfg.prices).is_file():
         raise ValidationError(f"price file not found: {cfg.prices}")
     if cfg.sectors is not None and not Path(cfg.sectors).is_file():

@@ -30,12 +30,14 @@ from datetime import date
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.spatial.distance import cdist
 
 from .corrmat import (
     EpochSpec,
     MatrixStack,
     average_correlation,
+    check_epsilon,
     coarse_grain,
     power_map,
     rolling_correlations,
@@ -64,7 +66,13 @@ def _packed_rows(matrices) -> np.ndarray:
     return pts
 
 
-def _check_threads(threads: int | None):
+def check_n_init(n_init: int):
+    """σ_intra is a spread over restarts, so it needs at least two."""
+    if n_init < 2:
+        raise ParameterRange(f"n_init must be >= 2, got {n_init}")
+
+
+def check_threads(threads: int | None):
     """None runs serially; a worker count must be at least 1."""
     if threads is not None and threads < 1:
         raise ParameterRange(f"threads must be >= 1, got {threads}")
@@ -73,7 +81,7 @@ def _check_threads(threads: int | None):
 def thread_map(fn, items, threads: int | None) -> list:
     """``[fn(x) for x in items]`` in order, on ``threads`` worker threads
     when more than one; None or 1 runs serially."""
-    _check_threads(threads)
+    check_threads(threads)
     if threads is not None and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
@@ -89,6 +97,25 @@ def _point_distances(pts: np.ndarray, centroids: np.ndarray, metric: str) -> np.
 
 def _to_distance(values: np.ndarray, metric: str) -> np.ndarray:
     return values if metric == "l1" else np.sqrt(values)
+
+
+def _cluster_means(pts: np.ndarray, assign: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per-cluster row means as one (k, n) membership product over ``pts``.
+
+    Row g of the sparse matrix holds a 1 at each member of cluster g in
+    index order, so the product adds each cluster's rows in index order
+    starting from 0.0 without copying them out of ``pts``. For rows of two
+    or more entries that is exactly ``pts[assign == g].mean(axis=0)``; for
+    one entry numpy sums pairwise, so the last bit may differ. Every
+    cluster must be nonempty.
+    """
+    n = assign.shape[0]
+    members = csr_array(
+        (np.ones(n), np.argsort(assign, kind="stable"),
+         np.concatenate(([0], np.cumsum(sizes)))),
+        shape=(sizes.shape[0], n),
+    )
+    return members @ pts / sizes[:, None]
 
 
 @dataclass(frozen=True)
@@ -127,6 +154,10 @@ def kmeans(
     from its own centroid (points that are sole members stay put).
     d_intra is the mean point-to-assigned-centroid distance under the
     active metric.
+
+    Each iteration reads the points twice, once for the distances and
+    once for the centroid update by a sparse membership product; no
+    cluster's rows are copied, so the run's extra memory is O(n k + k P).
     """
     pts = _packed_rows(matrices)
     n = pts.shape[0]
@@ -165,8 +196,7 @@ def kmeans(
             converged = True
             break
         assign = new_assign
-        for g in range(k):
-            centroids[g] = pts[assign == g].mean(axis=0)
+        centroids = _cluster_means(pts, assign, sizes)
 
     final = _point_distances(pts, centroids, metric)
     d_intra = float(_to_distance(final[np.arange(n), assign], metric).mean())
@@ -205,8 +235,7 @@ def sigma_intra(
     reproducible and independent of execution order. The best run is the
     minimal d_intra, ties broken by the lowest sub-seed value.
     """
-    if n_init < 2:
-        raise ParameterRange(f"n_init must be >= 2, got {n_init}")
+    check_n_init(n_init)
     pts = _packed_rows(matrices)
     seeds = [subseed(seed, i) for i in range(n_init)]
 
@@ -282,9 +311,9 @@ def optimize_states(
     if not eps_list or not k_list:
         raise ValidationError("epsilon grid and k range must be nonempty")
     for e in eps_list:
-        if not 0.0 <= e <= 1.0:
-            raise ParameterRange(f"epsilon must be in [0, 1], got {e}")
-    _check_threads(threads)
+        check_epsilon(e)
+    check_n_init(n_init)
+    check_threads(threads)
     if not any(k >= k_min_admissible for k in k_list):
         raise ValidationError(
             f"no k in {k_list} reaches the admissibility floor {k_min_admissible}"

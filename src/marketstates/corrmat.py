@@ -219,34 +219,53 @@ def epoch_correlation(
     )
 
 
-def rolling_correlations(returns: ReturnTable, spec: EpochSpec) -> MatrixStack:
-    """All epoch correlation matrices, ``(rows - length) // shift + 1`` of
-    them, written row by row into one stack by :func:`epoch_correlation`."""
+def check_epsilon(epsilon: float) -> None:
+    """The power-map exponent parameter must lie in [0, 1]."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ParameterRange(f"epsilon must be in [0, 1], got {epsilon}")
+
+
+def _power_row(x: np.ndarray, epsilon: float) -> np.ndarray:
+    return np.sign(x) * np.abs(x) ** (1.0 + epsilon)
+
+
+def _epoch_stack(returns: ReturnTable, spec: EpochSpec, epsilon: float) -> MatrixStack:
+    """The epoch correlation stack with the power map applied to each row
+    as :func:`epoch_correlation` writes it, so no unmapped stack is kept."""
     count = spec.window_count(returns.n_rows)
     data = np.empty((count, packed.packed_length(len(returns.tickers))))
     ends = []
     for i in range(count):
         c = epoch_correlation(returns, i * spec.shift, spec, epoch_index=i)
-        data[i] = c.data
+        data[i] = c.data if epsilon == 0.0 else _power_row(c.data, epsilon)
         ends.append(c.epoch_end)
     return MatrixStack(CorrMatrix, len(returns.tickers), data, tuple(ends), returns.tickers)
+
+
+def rolling_correlations(returns: ReturnTable, spec: EpochSpec) -> MatrixStack:
+    """All epoch correlation matrices, ``(rows - length) // shift + 1`` of
+    them, written row by row into one stack by :func:`epoch_correlation`."""
+    return _epoch_stack(returns, spec, 0.0)
 
 
 def power_map(matrix, epsilon: float):
     """Entrywise noise suppression ``x -> sign(x) |x|^(1+eps)``.
 
     ``epsilon`` must lie in [0, 1]; 0 is the identity. Works on both
-    matrix kinds and on a whole MatrixStack, and returns the same kind.
-    A correlation diagonal stays at 1 since 1 is a fixed point of the map.
+    matrix kinds and on a whole MatrixStack, and returns the same kind; a
+    stack is mapped into a second stack of the same size, which
+    ``clustering.optimize_states`` needs to keep its base stack for every ε.
+    :func:`pipeline_matrices` maps each row while it builds the stack
+    instead, with the same bits. A correlation diagonal stays at 1 since
+    1 is a fixed point of the map.
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ParameterRange(f"epsilon must be in [0, 1], got {epsilon}")
+    check_epsilon(epsilon)
     if epsilon == 0.0:
         return matrix
     mapped = np.empty_like(matrix.data)
     # row by row, so a stack's temporaries stay one row long
     for out, x in zip(np.atleast_2d(mapped), np.atleast_2d(matrix.data)):
-        out[:] = np.sign(x) * np.abs(x) ** (1.0 + epsilon)
+        out[:] = _power_row(x, epsilon)
     return replace(matrix, data=mapped)
 
 
@@ -337,8 +356,12 @@ def pipeline_matrices(
     sectors: SectorMap | None = None,
 ) -> MatrixStack:
     """The canonical epoch pipeline as one stack: correlation, power map,
-    then coarse graining when a sector map is given."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ParameterRange(f"epsilon must be in [0, 1], got {epsilon}")
-    stack = power_map(rolling_correlations(returns, spec), epsilon)
+    then coarse graining when a sector map is given.
+
+    Each epoch's row is power-mapped as it is written, so the mapped stack
+    is the only stack of that size built; it has the bits of
+    ``power_map(rolling_correlations(returns, spec), epsilon)``.
+    """
+    check_epsilon(epsilon)
+    stack = _epoch_stack(returns, spec, epsilon)
     return stack if sectors is None else coarse_grain(stack, sectors)

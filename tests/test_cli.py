@@ -317,6 +317,42 @@ def test_transitions_bad_k_or_damping_fail_before_loading(
     assert not (tmp_path / "run_meta.json").exists()
 
 
+@pytest.mark.parametrize("command, extra, word", [
+    ("states", ["--k", 0], "k must be >= 1"),
+    ("states", ["--k", 2, "--n-init", 1], "n_init must be >= 2"),
+    ("states", ["--k", 2, "--epsilon", 1.5], "epsilon must be in [0, 1]"),
+    ("states", ["--k", 2, "--epsilon", -0.1], "epsilon must be in [0, 1]"),
+    ("states", ["--k", 2, "--threads", 0], "threads must be >= 1"),
+    ("mds", ["--k", 0], "k must be >= 1"),
+    ("mds", ["--k", 2, "--n-init", 1], "n_init must be >= 2"),
+    ("mds", ["--k", 2, "--epsilon", 2], "epsilon must be in [0, 1]"),
+    ("mds", ["--k", 2, "--threads", -1], "threads must be >= 1"),
+    ("optimize", ["--n-init", 1], "n_init must be >= 2"),
+    ("optimize", ["--epsilon-grid", "0,1.5"], "epsilon must be in [0, 1]"),
+    ("optimize", ["--threads", 0], "threads must be >= 1"),
+    ("transitions", ["--k", 2, "--n-init", 1], "n_init must be >= 2"),
+    ("transitions", ["--k", 2, "--epsilon", 1.5], "epsilon must be in [0, 1]"),
+])
+def test_bad_ranges_fail_before_loading(
+    command, extra, word, tmp_path, monkeypatch, capsys
+):
+    """Out-of-range options are rejected before the price table is read,
+    even when the price file does not exist."""
+    def unreachable(path):
+        raise AssertionError("the price table was read")
+
+    monkeypatch.setattr(cli, "load_price_table", unreachable)
+    base = {"optimize": ["--epsilon-grid", "0", "--k-range", "2:3", "--k-min", 2]}
+    rc = _run([
+        command, "--prices", tmp_path / "missing.csv", "--out", tmp_path / "out",
+        *base.get(command, []), *extra,
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "ParameterRange" in err and word in err
+    assert not (tmp_path / "out" / "run_meta.json").exists()
+
+
 def test_transitions_large_stride_fails_before_clustering(
     market, tmp_path, monkeypatch, capsys
 ):

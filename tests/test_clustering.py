@@ -1,13 +1,18 @@
 import json
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from marketstates import packed
 from marketstates.clustering import (
+    MAX_ITER,
     Clustering,
+    _cluster_means,
     grid_csv,
     grid_summary,
     grid_summary_json,
@@ -200,6 +205,118 @@ def test_scale_invariance_of_assignments():
         assert b.d_intra == pytest.approx(3.0 * a.d_intra, rel=1e-12)
 
 
+def masked_lloyd_reference(pts, k, seed, metric):
+    """The Lloyd loop with one masked copy and mean per cluster, as kmeans
+    ran before its membership product: (assignments, centroids, d_intra,
+    history, iterations, repairs)."""
+    kind = "cityblock" if metric == "l1" else "sqeuclidean"
+    to_dist = (lambda v: v) if metric == "l1" else np.sqrt
+    rng = np.random.default_rng(seed)
+    n = pts.shape[0]
+    centroids = pts[rng.choice(n, size=k, replace=False)].copy()
+    assign = np.full(n, -1, dtype=np.int64)
+    history = []
+    iterations = repairs = 0
+    for _ in range(MAX_ITER):
+        iterations += 1
+        dist = cdist(pts, centroids, kind)
+        new_assign = dist.argmin(axis=1)
+        own = to_dist(dist[np.arange(n), new_assign])
+        history.append(float(own.mean()))
+        sizes = np.bincount(new_assign, minlength=k)
+        for empty in np.flatnonzero(sizes == 0):
+            repairs += 1
+            j = int(np.where(sizes[new_assign] > 1, own, -np.inf).argmax())
+            sizes[new_assign[j]] -= 1
+            new_assign[j] = empty
+            sizes[empty] = 1
+            own[j] = 0.0
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for g in range(k):
+            centroids[g] = pts[assign == g].mean(axis=0)
+    final = cdist(pts, centroids, kind)
+    d_intra = float(to_dist(final[np.arange(n), assign]).mean())
+    return assign, centroids, d_intra, tuple(history), iterations, repairs
+
+
+def _rough_values(rng, shape) -> np.ndarray:
+    """Values over 17 decades, some of them ±0, so a change in summation
+    order or in the sign of a zero shows in the bits."""
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    zeros = rng.random(shape) < 0.1
+    values[zeros] = np.copysign(0.0, rng.normal(size=shape))[zeros]
+    return values
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    p=st.sampled_from([2, 3, 7, 55, 1830]),
+    k=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    repeats=st.booleans(),
+)
+def test_membership_means_equal_masked_means_bits(n, p, k, seed, repeats):
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    pts = _rough_values(rng, (n, p))
+    if repeats:
+        pts = pts[rng.integers(0, max(1, n // 3), size=n)]
+    # every cluster nonempty, as after kmeans's repair
+    assign = np.concatenate([rng.permutation(k), rng.integers(0, k, size=n - k)])
+    rng.shuffle(assign)
+    sizes = np.bincount(assign, minlength=k)
+    want = np.array([pts[assign == g].mean(axis=0) for g in range(k)])
+    got = _cluster_means(pts, assign, sizes)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("metric", ["l1", "l2"])
+def test_kmeans_equals_masked_lloyd_reference(metric):
+    """Same assignments, centroid bits, d_intra, history and iteration
+    count as the masked-mean loop, including runs that repair empty
+    clusters (few distinct rows, so start centroids coincide)."""
+    rng = np.random.default_rng(12)
+    repairs = 0
+    for trial in range(40):
+        n = int(rng.integers(8, 90))
+        p = int(rng.choice([2, 5, 45, 300]))
+        pts = _rough_values(rng, (n, p))
+        if trial % 2:
+            pts = pts[rng.integers(0, 3, size=n)]
+        k = int(rng.integers(1, min(n, 6) + 1))
+        seed = int(rng.integers(1 << 31))
+        assign, centroids, d_intra, history, iterations, fixed = (
+            masked_lloyd_reference(pts, k, seed, metric)
+        )
+        got = kmeans(pts, k, seed, metric=metric)
+        np.testing.assert_array_equal(got.assignments, assign)
+        assert got.centroids.tobytes() == centroids.tobytes()
+        assert got.d_intra == d_intra
+        assert got.d_intra_history == history
+        assert got.iterations == iterations
+        repairs += fixed
+    assert repairs > 0
+
+
+@pytest.mark.parametrize("metric", ["l1", "l2"])
+def test_kmeans_copies_no_cluster(metric):
+    """Extra memory of a run stays far below one copy of the points."""
+    pts = np.random.default_rng(13).normal(size=(600, 1000))
+    kmeans(pts, 3, seed=0, metric=metric)  # lazy imports and caches first
+    tracemalloc.start()
+    try:
+        c = kmeans(pts, 3, seed=0, metric=metric)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert c.iterations >= 2
+    assert peak < 0.1 * pts.nbytes
+
+
 def test_sigma_two_restarts_half_gap():
     pts = np.random.default_rng(8).normal(size=(40, 6))
     res = sigma_intra(pts, k=3, n_init=2, seed=17)
@@ -375,6 +492,8 @@ def test_optimize_rejects_bad_grids():
         optimize_states(rt, spec, None, [], [2], 2, 4, 0)
     with pytest.raises(ParameterRange):
         optimize_states(rt, spec, None, [1.5], [2], 2, 4, 0)
+    with pytest.raises(ParameterRange, match="n_init"):
+        optimize_states(rt, spec, None, [0.0], [2], 2, 1, 0)
     with pytest.raises(ValidationError):
         optimize_states(rt, spec, None, [0.0], [2, 3], 5, 4, 0)
     with pytest.raises(ValidationError):

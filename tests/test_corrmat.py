@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from datetime import date, timedelta
@@ -454,6 +455,22 @@ def test_pipeline_stack_rows_equal_per_epoch_chain(returns, shift, epsilon, with
         assert type(m) is type(want) is stack.kind
         assert (m.epoch_index, m.epoch_end) == (i, want.epoch_end)
         assert stack.data[i].tobytes() == want.data.tobytes()
+
+
+def test_pipeline_builds_one_stack():
+    """The power map is applied as rows are written: peak traced memory
+    stays near one stack, not a stack and its mapped copy."""
+    rt = _return_table(np.random.default_rng(24).normal(size=(400, 40)))
+    spec = EpochSpec(20, 1)
+    pipeline_matrices(rt, spec, epsilon=0.3)  # lazy imports and caches first
+    tracemalloc.start()
+    try:
+        stack = pipeline_matrices(rt, spec, epsilon=0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stack.data.shape == (381, 820)
+    assert peak <= 1.25 * stack.data.nbytes
 
 
 def test_singleton_sector_warns_once_per_stack():
