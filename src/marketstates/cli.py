@@ -255,18 +255,19 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _check_ranges(cfg):
-    """Range checks that need no data, made before any input is read."""
+def _check_ranges(cfg) -> EpochSpec:
+    """Data-free range checks, made before any input is read; returns the EpochSpec."""
     if hasattr(cfg, "k") and cfg.k < 1:
         raise ParameterRange(f"k must be >= 1, got {cfg.k}")
     check_n_init(cfg.n_init)
     check_threads(cfg.threads)
     for eps in cfg.epsilon_grid if hasattr(cfg, "epsilon_grid") else [cfg.epsilon]:
         check_epsilon(eps)
+    return EpochSpec(length=cfg.epoch, shift=cfg.shift)
 
 
 def _prepare_data(cfg):
-    _check_ranges(cfg)
+    spec = _check_ranges(cfg)
     if not Path(cfg.prices).is_file():
         raise ValidationError(f"price file not found: {cfg.prices}")
     if cfg.sectors is not None and not Path(cfg.sectors).is_file():
@@ -279,11 +280,10 @@ def _prepare_data(cfg):
     sectors = None
     if cfg.pipeline == "guhr":
         sectors = load_sector_map(cfg.sectors, filtered.table.tickers)
-    return returns, sectors
+    return returns, sectors, spec
 
 
-def _state_pipeline(cfg, returns, sectors):
-    spec = EpochSpec(length=cfg.epoch, shift=cfg.shift)
+def _state_pipeline(cfg, returns, sectors, spec):
     mats = pipeline_matrices(returns, spec, cfg.epsilon, sectors)
     result = sigma_intra(
         mats, cfg.k, cfg.n_init, cfg.seed,
@@ -328,8 +328,7 @@ def cmd_states(cfg, out_dir: Path):
 
 
 def cmd_optimize(cfg, out_dir: Path):
-    returns, sectors = _prepare_data(cfg)
-    spec = EpochSpec(length=cfg.epoch, shift=cfg.shift)
+    returns, sectors, spec = _prepare_data(cfg)
     grid = optimize_states(
         returns, spec, sectors,
         cfg.epsilon_grid, cfg.k_range, cfg.k_min,
@@ -346,15 +345,15 @@ def cmd_transitions(cfg, out_dir: Path):
     if cfg.k < 2:
         raise ParameterRange(f"transitions need k >= 2 for tridiagonality, got {cfg.k}")
     check_damping(cfg.damping)
-    returns, sectors = _prepare_data(cfg)
-    epochs = EpochSpec(length=cfg.epoch, shift=cfg.shift).window_count(returns.n_rows)
+    returns, sectors, spec = _prepare_data(cfg)
+    epochs = spec.window_count(returns.n_rows)
     kept = len(range(0, epochs, cfg.stride))
     if kept < 3:
         raise InsufficientSequence(
             f"--stride {cfg.stride} keeps {kept} of {epochs} epochs; the "
             "Markov check needs at least 3 states"
         )
-    _, _, seq = _state_pipeline(cfg, returns, sectors)
+    _, _, seq = _state_pipeline(cfg, returns, sectors, spec)
     states = seq.states[:: cfg.stride]
     t = transition_matrix(states, k=seq.k)
     eq = equilibrium_distribution(t, damping=cfg.damping)

@@ -33,15 +33,8 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.spatial.distance import cdist
 
-from .corrmat import (
-    EpochSpec,
-    MatrixStack,
-    average_correlation,
-    check_epsilon,
-    coarse_grain,
-    power_map,
-    rolling_correlations,
-)
+from . import packed
+from .corrmat import EpochSpec, MatrixStack, check_epsilon, pipeline_stacks
 from .errors import (
     InsufficientData,
     MarketStatesError,
@@ -304,7 +297,10 @@ def optimize_states(
     seed in every cell so columns differ only through the data. The
     chosen cell minimizes σ_intra over error-free cells with
     k >= k_min_admissible; exact ties fall to smaller k, then smaller
-    epsilon. Per-cell failures are recorded, not raised.
+    epsilon. Per-cell failures are recorded, not raised; matrix building
+    errors (a degenerate column, an unmapped ticker) raise. With sectors
+    one ``pipeline_stacks`` pass builds every small Guhr column; at stock
+    level one full column is built at a time.
     """
     eps_list = [float(e) for e in epsilon_grid]
     k_list = [int(k) for k in k_range]
@@ -319,21 +315,11 @@ def optimize_states(
             f"no k in {k_list} reaches the admissibility floor {k_min_admissible}"
         )
 
-    base = rolling_correlations(returns, spec)
+    guhr = None if sectors is None else pipeline_stacks(returns, spec, eps_list, sectors)
     cells: list[GridCell] = []
-    for eps in eps_list:
-        mats = None
-        col_error = None
-        try:
-            mats = power_map(base, eps)
-            if sectors is not None:
-                mats = coarse_grain(mats, sectors)
-        except MarketStatesError as exc:
-            col_error = f"{type(exc).__name__}: {exc}"
+    for j, eps in enumerate(eps_list):
+        mats = guhr[j] if guhr is not None else pipeline_stacks(returns, spec, [eps])[0]
         for k in k_list:
-            if col_error is not None:
-                cells.append(GridCell(k, eps, float("nan"), float("nan"), col_error))
-                continue
             try:
                 res = sigma_intra(mats, k, n_init, seed, metric=metric, threads=threads)
                 cells.append(GridCell(k, eps, res.sigma_intra, res.mean_d_intra))
@@ -342,6 +328,8 @@ def optimize_states(
                     GridCell(k, eps, float("nan"), float("nan"),
                              f"{type(exc).__name__}: {exc}")
                 )
+        # a rebound name would keep this column alive while the next is built
+        del mats
 
     admissible = [c for c in cells if c.error is None and c.k >= k_min_admissible]
     if not admissible:
@@ -381,7 +369,11 @@ def order_states(c: Clustering, matrices) -> StateSequence:
         raise ValidationError(
             f"{len(stack)} matrices for a clustering of {c.n_points} points"
         )
-    avg = np.array([average_correlation(m) for m in stack])
+    if stack.dim < 2:
+        raise ValidationError("average correlation needs dim >= 2")
+    # per row, as average_correlation sums: a 2-D masked mean may differ in the last bit
+    mask = packed.strict_upper_mask(stack.dim)
+    avg = np.array([row[mask].mean() for row in stack.data])
 
     means = np.array([avg[c.assignments == g].mean() for g in range(c.k)])
     order = np.argsort(means, kind="stable")

@@ -10,7 +10,9 @@ Guhr matrix whose diagonal is no longer 1.
 The epochs of one run travel together as a :class:`MatrixStack`: one
 read-only array with a packed upper triangle per row, which clustering
 and scaling read directly. Indexing a stack yields the per-epoch
-:class:`CorrMatrix` or :class:`GuhrMatrix` on a row view.
+:class:`CorrMatrix` or :class:`GuhrMatrix` on a row view. Every
+pipeline's stacks come from :func:`pipeline_stacks`, which transforms
+each epoch's row as it is written, so no intermediate stack is built.
 
 Distances between matrices are L1 sums over the packed upper triangle.
 For correlation matrices the diagonal contributes nothing (both are 1);
@@ -61,14 +63,12 @@ class EpochSpec:
 
 
 @dataclass(frozen=True)
-class CorrMatrix:
-    """Packed symmetric correlation matrix for one epoch (unit diagonal)."""
+class _EpochMatrix:
+    """One epoch's symmetric matrix as its packed upper triangle."""
 
     dim: int
     data: np.ndarray
     epoch_end: date
-    epoch_index: int
-    tickers: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.data.shape != (packed.packed_length(self.dim),):
@@ -81,27 +81,26 @@ class CorrMatrix:
 
 
 @dataclass(frozen=True)
-class GuhrMatrix:
+class CorrMatrix(_EpochMatrix):
+    """Packed symmetric correlation matrix for one epoch (unit diagonal)."""
+
+    epoch_index: int
+    tickers: tuple[str, ...] | None = None
+
+
+@dataclass(frozen=True)
+class GuhrMatrix(_EpochMatrix):
     """Packed sector-level coarse-grained matrix (diagonal not unit)."""
 
-    dim: int
-    data: np.ndarray
-    epoch_end: date
     sectors: tuple[str, ...]
     epoch_index: int = 0
 
     def __post_init__(self):
-        if self.data.shape != (packed.packed_length(self.dim),):
-            raise ValidationError(
-                f"packed data length {self.data.shape} does not match dim {self.dim}"
-            )
+        super().__post_init__()
         if len(self.sectors) != self.dim:
             raise ValidationError(
                 f"{len(self.sectors)} sector labels for dim {self.dim}"
             )
-
-    def full(self) -> np.ndarray:
-        return packed.unpack(self.data, self.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,44 +228,81 @@ def _power_row(x: np.ndarray, epsilon: float) -> np.ndarray:
     return np.sign(x) * np.abs(x) ** (1.0 + epsilon)
 
 
-def _epoch_stack(returns: ReturnTable, spec: EpochSpec, epsilon: float) -> MatrixStack:
-    """The epoch correlation stack with the power map applied to each row
-    as :func:`epoch_correlation` writes it, so no unmapped stack is kept."""
+def _block_average(sectors: SectorMap, tickers):
+    """The per-row step of :func:`coarse_grain`, with the sector layout of
+    ``tickers`` worked out (and any singleton sector warned of) once."""
+    dim = len(tickers)
+    idx = sectors.indices(tickers)
+    n_s = sectors.n_sectors
+    counts = np.bincount(idx, minlength=n_s).astype(np.float64)
+    onehot = np.zeros((dim, n_s))
+    onehot[np.arange(dim), idx] = 1.0
+    denom = np.outer(counts, counts)
+    np.fill_diagonal(denom, counts * (counts - 1.0))
+    singleton = denom == 0.0
+    if singleton.any():
+        names = [sectors.sectors[i] for i in np.flatnonzero(np.diag(singleton))]
+        warnings.warn(f"singleton sector(s) {names}: diagonal set to 1.0",
+                      SingletonSectorWarning, stacklevel=3)
+    g = np.ones((n_s, n_s))
+
+    def step(row: np.ndarray) -> np.ndarray:
+        full = packed.unpack(row, dim)
+        block_sums = onehot.T @ full @ onehot
+        # diagonal blocks: remove self-correlations before averaging
+        block_sums[np.diag_indices(n_s)] -= np.bincount(
+            idx, weights=np.diag(full), minlength=n_s
+        )
+        np.divide(block_sums, denom, out=g, where=~singleton)
+        return packed.pack(g)
+
+    return step
+
+
+def pipeline_stacks(returns: ReturnTable, spec: EpochSpec, epsilons: list[float],
+                    sectors: SectorMap | None = None) -> list[MatrixStack]:
+    """The canonical epoch pipeline, one stack per ε: per epoch one
+    :func:`epoch_correlation`, then for each ε the power map and, given
+    sectors, the coarse graining of that row, with the bits of the
+    per-epoch chain. A sector pipeline never holds a stock-level stack.
+    """
+    for eps in epsilons:
+        check_epsilon(eps)
     count = spec.window_count(returns.n_rows)
-    data = np.empty((count, packed.packed_length(len(returns.tickers))))
+    kind, dim, labels, step = CorrMatrix, len(returns.tickers), returns.tickers, None
+    if sectors is not None:
+        # an unmapped ticker fails here, before any epoch is computed
+        step = _block_average(sectors, returns.tickers)
+        kind, dim, labels = GuhrMatrix, sectors.n_sectors, sectors.sectors
+    data = [np.empty((count, packed.packed_length(dim))) for _ in epsilons]
     ends = []
     for i in range(count):
         c = epoch_correlation(returns, i * spec.shift, spec, epoch_index=i)
-        data[i] = c.data if epsilon == 0.0 else _power_row(c.data, epsilon)
         ends.append(c.epoch_end)
-    return MatrixStack(CorrMatrix, len(returns.tickers), data, tuple(ends), returns.tickers)
+        for out, eps in zip(data, epsilons):
+            row = c.data if eps == 0.0 else _power_row(c.data, eps)
+            out[i] = row if step is None else step(row)
+    return [MatrixStack(kind, dim, d, tuple(ends), labels) for d in data]
 
 
 def rolling_correlations(returns: ReturnTable, spec: EpochSpec) -> MatrixStack:
     """All epoch correlation matrices, ``(rows - length) // shift + 1`` of
     them, written row by row into one stack by :func:`epoch_correlation`."""
-    return _epoch_stack(returns, spec, 0.0)
+    return pipeline_stacks(returns, spec, [0.0])[0]
 
 
 def power_map(matrix, epsilon: float):
     """Entrywise noise suppression ``x -> sign(x) |x|^(1+eps)``.
 
     ``epsilon`` must lie in [0, 1]; 0 is the identity. Works on both
-    matrix kinds and on a whole MatrixStack, and returns the same kind; a
-    stack is mapped into a second stack of the same size, which
-    ``clustering.optimize_states`` needs to keep its base stack for every ε.
-    :func:`pipeline_matrices` maps each row while it builds the stack
-    instead, with the same bits. A correlation diagonal stays at 1 since
-    1 is a fixed point of the map.
+    matrix kinds and on a MatrixStack, and returns the same kind; the
+    pipeline maps each row as it writes it instead, with the same bits.
+    A correlation diagonal stays at 1 since 1 is a fixed point of the map.
     """
     check_epsilon(epsilon)
     if epsilon == 0.0:
         return matrix
-    mapped = np.empty_like(matrix.data)
-    # row by row, so a stack's temporaries stay one row long
-    for out, x in zip(np.atleast_2d(mapped), np.atleast_2d(matrix.data)):
-        out[:] = _power_row(x, epsilon)
-    return replace(matrix, data=mapped)
+    return replace(matrix, data=_power_row(matrix.data, epsilon))
 
 
 def coarse_grain(c, sectors: SectorMap, tickers=None):
@@ -278,7 +314,7 @@ def coarse_grain(c, sectors: SectorMap, tickers=None):
     block of n members averages over n*(n-1) entries; off-diagonal blocks
     over n_i*n_j. A singleton sector has no intra-sector pairs: its
     diagonal entry is set to 1.0 and one ``SingletonSectorWarning`` is
-    emitted per call.
+    emitted per call. :func:`pipeline_stacks` applies the same row step.
     """
     stack = MatrixStack.of([c]) if isinstance(c, CorrMatrix) else c
     if stack.kind is not CorrMatrix:
@@ -289,38 +325,15 @@ def coarse_grain(c, sectors: SectorMap, tickers=None):
         raise ValidationError(
             "correlation matrix carries no tickers; pass them explicitly"
         )
-    dim = stack.dim
-    if len(tickers) != dim:
+    if len(tickers) != stack.dim:
         raise DimensionMismatch(
-            f"{len(tickers)} tickers for a dim-{dim} matrix"
+            f"{len(tickers)} tickers for a dim-{stack.dim} matrix"
         )
-    idx = sectors.indices(tickers)
+    step = _block_average(sectors, tickers)
     n_s = sectors.n_sectors
-    counts = np.bincount(idx, minlength=n_s).astype(np.float64)
-    onehot = np.zeros((dim, n_s))
-    onehot[np.arange(dim), idx] = 1.0
-    denom = np.outer(counts, counts)
-    np.fill_diagonal(denom, counts * (counts - 1.0))
-    singleton = denom == 0.0
-
-    g = np.ones((n_s, n_s))
     out = np.empty((len(stack), packed.packed_length(n_s)))
     for i, row in enumerate(stack.data):
-        full = packed.unpack(row, dim)
-        block_sums = onehot.T @ full @ onehot
-        # diagonal blocks: remove self-correlations before averaging
-        block_sums[np.diag_indices(n_s)] -= np.bincount(
-            idx, weights=np.diag(full), minlength=n_s
-        )
-        np.divide(block_sums, denom, out=g, where=~singleton)
-        out[i] = packed.pack(g)
-    if singleton.any():
-        names = [sectors.sectors[i] for i in np.flatnonzero(np.diag(singleton))]
-        warnings.warn(
-            f"singleton sector(s) {names}: diagonal set to 1.0",
-            SingletonSectorWarning,
-            stacklevel=2,
-        )
+        out[i] = step(row)
     if isinstance(c, CorrMatrix):
         return GuhrMatrix(n_s, out[0], c.epoch_end, sectors.sectors, c.epoch_index)
     return MatrixStack(GuhrMatrix, n_s, out, stack.epoch_ends, sectors.sectors)
@@ -356,12 +369,7 @@ def pipeline_matrices(
     sectors: SectorMap | None = None,
 ) -> MatrixStack:
     """The canonical epoch pipeline as one stack: correlation, power map,
-    then coarse graining when a sector map is given.
-
-    Each epoch's row is power-mapped as it is written, so the mapped stack
-    is the only stack of that size built; it has the bits of
-    ``power_map(rolling_correlations(returns, spec), epsilon)``.
+    then coarse graining when a sector map is given; the one-ε case of
+    :func:`pipeline_stacks`, so it builds no stack but the one it returns.
     """
-    check_epsilon(epsilon)
-    stack = _epoch_stack(returns, spec, epsilon)
-    return stack if sectors is None else coarse_grain(stack, sectors)
+    return pipeline_stacks(returns, spec, [epsilon], sectors)[0]

@@ -227,18 +227,21 @@ def test_optimize_grid_artifacts(market, tmp_path):
 
 def test_optimize_threads_do_not_change_artifacts(market, tmp_path):
     """Restart parallelism is an implementation detail; artifacts match
-    byte for byte across thread counts."""
-    outs = []
-    for threads in (1, 3):
-        d = tmp_path / f"t{threads}"
-        rc = _run([
-            "optimize", "--prices", market / "prices.csv", "--out", d,
-            "--epsilon-grid", "0.0,0.5", "--k-range", "2,3", "--k-min", 2,
-            "--n-init", 5, "--seed", 0, "--threads", threads,
-        ])
-        assert rc == 0
-        outs.append((d / "sigma_grid.csv").read_bytes())
-    assert outs[0] == outs[1]
+    byte for byte across thread counts, at stock and at sector level."""
+    guhr = ["--pipeline", "guhr", "--sectors", market / "sectors.csv"]
+    for name, pipeline in (("pearson", []), ("guhr", guhr)):
+        outs = []
+        for threads in (1, 3):
+            d = tmp_path / f"{name}-t{threads}"
+            rc = _run([
+                "optimize", "--prices", market / "prices.csv", "--out", d, *pipeline,
+                "--epsilon-grid", "0.0,0.5", "--k-range", "2,3", "--k-min", 2,
+                "--n-init", 5, "--seed", 0, "--threads", threads,
+            ])
+            assert rc == 0
+            outs.append([(d / f).read_bytes()
+                         for f in ("sigma_grid.csv", "sigma_summary.json")])
+        assert outs[0] == outs[1]
 
 
 def test_grid_syntax_colon_equals_comma():
@@ -332,6 +335,10 @@ def test_transitions_bad_k_or_damping_fail_before_loading(
     ("optimize", ["--threads", 0], "threads must be >= 1"),
     ("transitions", ["--k", 2, "--n-init", 1], "n_init must be >= 2"),
     ("transitions", ["--k", 2, "--epsilon", 1.5], "epsilon must be in [0, 1]"),
+    ("states", ["--k", 2, "--epoch", 1], "epoch length must be >= 2"),
+    ("optimize", ["--shift", 0], "epoch shift must be >= 1"),
+    ("transitions", ["--k", 2, "--epoch", 1], "epoch length must be >= 2"),
+    ("mds", ["--k", 2, "--shift", 0], "epoch shift must be >= 1"),
 ])
 def test_bad_ranges_fail_before_loading(
     command, extra, word, tmp_path, monkeypatch, capsys

@@ -36,6 +36,7 @@ from marketstates.errors import (
     InsufficientData,
     ParameterRange,
     TieWarning,
+    UnmappedTicker,
     ValidationError,
 )
 from marketstates.ingest import ReturnTable, SectorMap
@@ -456,6 +457,12 @@ def test_order_states_length_mismatch():
         order_states(_manual_clustering([0, 1], 2), mats)
 
 
+def _two_sector_map(tickers) -> SectorMap:
+    labels = {t: ("s1", "s2")[i % 2] for i, t in enumerate(tickers)}
+    sizes = {s: list(labels.values()).count(s) for s in ("s1", "s2")}
+    return SectorMap(assignment=labels, sectors=("s1", "s2"), sizes=sizes)
+
+
 def test_optimize_grid_shape_and_eps_zero_column():
     rt = _return_table(44, 5, seed=14)
     spec = EpochSpec(20, 1)
@@ -468,6 +475,50 @@ def test_optimize_grid_shape_and_eps_zero_column():
         cell = grid.cell(k, 0.0)
         assert cell.sigma_intra == direct.sigma_intra
         assert cell.mean_d_intra == direct.mean_d_intra
+
+    # the Guhr grid: every cell against the chain of public whole-stack steps
+    sm = _two_sector_map(rt.tickers)
+    eps_grid = [0.0, 0.4, 1.0]
+    grid = optimize_states(rt, spec, sm, eps_grid, [2, 3], 2, 6, 5)
+    assert len(grid.cells) == 6
+    for eps in eps_grid:
+        guhr = coarse_grain(power_map(rolling_correlations(rt, spec), eps), sm)
+        for k in (2, 3):
+            direct = sigma_intra(guhr, k=k, n_init=6, seed=5)
+            cell = grid.cell(k, eps)
+            assert cell.error is None
+            assert cell.sigma_intra == direct.sigma_intra
+            assert cell.mean_d_intra == direct.mean_d_intra
+
+
+def _optimize_peak(rt, sectors, eps_grid) -> int:
+    """tracemalloc peak of one optimize_states call, after a warm-up call."""
+    spec = EpochSpec(20, 1)
+    optimize_states(rt, spec, sectors, eps_grid, [2], 2, 2, 0)
+    tracemalloc.start()
+    try:
+        optimize_states(rt, spec, sectors, eps_grid, [2], 2, 2, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_optimize_stock_grid_holds_one_column():
+    """A stock-level grid builds one ε column at a time and releases it
+    before the next, so no base stack or second column is alive."""
+    rt = _return_table(400, 40, seed=25)
+    one_stack = rolling_correlations(rt, EpochSpec(20, 1)).data.nbytes
+    assert _optimize_peak(rt, None, [0.0, 0.5, 1.0]) <= 1.25 * one_stack
+
+
+def test_optimize_guhr_grid_builds_no_pearson_stack():
+    """A sector-level grid coarse-grains each epoch as it goes: its peak
+    stays far below the Pearson stack of the same returns."""
+    rt = _return_table(400, 40, seed=26)
+    pearson = rolling_correlations(rt, EpochSpec(20, 1)).data.nbytes
+    peak = _optimize_peak(rt, _two_sector_map(rt.tickers), [0.0, 0.5, 1.0])
+    assert peak <= 0.25 * pearson
 
 
 def test_optimize_records_cell_errors_without_raising():
@@ -498,6 +549,9 @@ def test_optimize_rejects_bad_grids():
         optimize_states(rt, spec, None, [0.0], [2, 3], 5, 4, 0)
     with pytest.raises(ValidationError):
         optimize_states(rt, spec, None, [0.0], [400], 2, 4, 0)
+    unmapped = _two_sector_map(rt.tickers[:-1])
+    with pytest.raises(UnmappedTicker, match=rt.tickers[-1]):
+        optimize_states(rt, spec, unmapped, [0.0, 0.5], [2], 2, 4, 0)
 
 
 def test_grid_csv_round_trip():

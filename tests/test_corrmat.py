@@ -21,6 +21,7 @@ from marketstates.corrmat import (
     epoch_correlation,
     matrix_distance,
     pipeline_matrices,
+    pipeline_stacks,
     power_map,
     rolling_correlations,
 )
@@ -424,37 +425,42 @@ def test_pipeline_matrices_with_sectors_yields_guhr():
         elements=st.floats(-0.1, 0.1, allow_subnormal=False),
     ),
     shift=st.integers(1, 3),
-    epsilon=st.sampled_from([0.0, 0.3]),
+    epsilons=st.lists(st.sampled_from([0.0, 0.3, 1.0]), min_size=1, max_size=3),
     with_sectors=st.booleans(),
 )
-def test_pipeline_stack_rows_equal_per_epoch_chain(returns, shift, epsilon, with_sectors):
-    """One stack per run holds, bit for bit, what the per-epoch chain
-    epoch_correlation -> power_map -> coarse_grain gives each epoch."""
+def test_pipeline_stack_rows_equal_per_epoch_chain(returns, shift, epsilons, with_sectors):
+    """Each ε column of one builder pass holds, bit for bit, what the
+    per-epoch chain epoch_correlation -> power_map -> coarse_grain gives
+    each epoch; pipeline_matrices is its first column."""
     rt = _return_table(returns)
     spec = EpochSpec(20, shift)
     sm = None
     if with_sectors:
         sm = _sector_map(dict(zip(rt.tickers, ("s1", "s1", "s2", "s2", "s2"))))
 
-    def chain(i):
+    def chain(i, epsilon):
         m = power_map(epoch_correlation(rt, i * shift, spec, epoch_index=i), epsilon)
         return m if sm is None else coarse_grain(m, sm)
 
     count = spec.window_count(rt.n_rows)
     try:
-        stack = pipeline_matrices(rt, spec, epsilon, sm)
+        stacks = pipeline_stacks(rt, spec, epsilons, sm)
     except DegenerateColumn as exc:
         with pytest.raises(DegenerateColumn) as per_epoch:
             for i in range(count):
-                chain(i)
+                chain(i, epsilons[0])
         assert str(per_epoch.value) == str(exc)
         return
-    assert len(stack) == count
-    for i, m in enumerate(stack):
-        want = chain(i)
-        assert type(m) is type(want) is stack.kind
-        assert (m.epoch_index, m.epoch_end) == (i, want.epoch_end)
-        assert stack.data[i].tobytes() == want.data.tobytes()
+    assert len(stacks) == len(epsilons)
+    first = pipeline_matrices(rt, spec, epsilons[0], sm)
+    assert first.data.tobytes() == stacks[0].data.tobytes()
+    for stack, epsilon in zip(stacks, epsilons):
+        assert len(stack) == count
+        for i, m in enumerate(stack):
+            want = chain(i, epsilon)
+            assert type(m) is type(want) is stack.kind
+            assert (m.epoch_index, m.epoch_end) == (i, want.epoch_end)
+            assert stack.data[i].tobytes() == want.data.tobytes()
 
 
 def test_pipeline_builds_one_stack():
