@@ -5,7 +5,10 @@ consecutive return days (20 by convention) slid forward by a fixed shift
 (1 day by convention). The power map suppresses noise entrywise,
 ``x -> sign(x) |x|^(1+eps)``, and coarse graining averages correlation
 entries over sector-pair blocks, producing the much smaller sectorial
-Guhr matrix whose diagonal is no longer 1.
+Guhr matrix whose diagonal is no longer 1. The block averages are taken
+straight from the packed row: one ``np.bincount`` over a precomputed
+index from each off-diagonal position to the packed position of its
+sector pair, divided by the pair counts of the blocks.
 
 The epochs of one run travel together as a :class:`MatrixStack`: one
 read-only array with a packed upper triangle per row, which clustering
@@ -229,32 +232,30 @@ def _power_row(x: np.ndarray, epsilon: float) -> np.ndarray:
 
 
 def _block_average(sectors: SectorMap, tickers):
-    """The per-row step of :func:`coarse_grain`, with the sector layout of
-    ``tickers`` worked out (and any singleton sector warned of) once."""
-    dim = len(tickers)
+    """The per-row step of :func:`coarse_grain`: block sums taken straight
+    from the packed row. Each off-diagonal position (i < j) adds to the
+    packed position of its sector pair (min, max); the diagonal positions
+    go to one extra bin that is dropped, so a diagonal block averages its
+    n(n-1)/2 distinct pairs. A block with no pairs (a singleton sector or
+    one without members among ``tickers``) is 1.0 and warned of once."""
     idx = sectors.indices(tickers)
     n_s = sectors.n_sectors
-    counts = np.bincount(idx, minlength=n_s).astype(np.float64)
-    onehot = np.zeros((dim, n_s))
-    onehot[np.arange(dim), idx] = 1.0
-    denom = np.outer(counts, counts)
-    np.fill_diagonal(denom, counts * (counts - 1.0))
-    singleton = denom == 0.0
-    if singleton.any():
-        names = [sectors.sectors[i] for i in np.flatnonzero(np.diag(singleton))]
+    rows, cols = packed.upper_indices(len(tickers))
+    lo = np.minimum(idx[rows], idx[cols])
+    hi = np.maximum(idx[rows], idx[cols])
+    block = lo * n_s - lo * (lo - 1) // 2 + (hi - lo)
+    block[packed.diagonal_positions(len(tickers))] = packed.packed_length(n_s)
+    pairs = np.bincount(block)[:-1]
+    paired = pairs > 0
+    lonely = np.flatnonzero(~paired[packed.diagonal_positions(n_s)])
+    if lonely.size:
+        names = [sectors.sectors[i] for i in lonely]
         warnings.warn(f"singleton sector(s) {names}: diagonal set to 1.0",
                       SingletonSectorWarning, stacklevel=3)
-    g = np.ones((n_s, n_s))
 
     def step(row: np.ndarray) -> np.ndarray:
-        full = packed.unpack(row, dim)
-        block_sums = onehot.T @ full @ onehot
-        # diagonal blocks: remove self-correlations before averaging
-        block_sums[np.diag_indices(n_s)] -= np.bincount(
-            idx, weights=np.diag(full), minlength=n_s
-        )
-        np.divide(block_sums, denom, out=g, where=~singleton)
-        return packed.pack(g)
+        sums = np.bincount(block, weights=row)[:-1]
+        return np.divide(sums, pairs, out=np.ones_like(sums), where=paired)
 
     return step
 
@@ -305,31 +306,26 @@ def power_map(matrix, epsilon: float):
     return replace(matrix, data=_power_row(matrix.data, epsilon))
 
 
-def coarse_grain(c, sectors: SectorMap, tickers=None):
+def coarse_grain(c, sectors: SectorMap):
     """Average correlation entries over sector-pair blocks.
 
     Takes a CorrMatrix and returns a GuhrMatrix, or takes a correlation
-    MatrixStack and returns a Guhr stack; the sector layout is worked out
-    once per call. Diagonal blocks exclude the self-correlations, so a
-    block of n members averages over n*(n-1) entries; off-diagonal blocks
-    over n_i*n_j. A singleton sector has no intra-sector pairs: its
-    diagonal entry is set to 1.0 and one ``SingletonSectorWarning`` is
-    emitted per call. :func:`pipeline_stacks` applies the same row step.
+    MatrixStack and returns a Guhr stack; the tickers are the matrix's
+    own. Each Guhr entry is the mean of its block's entries in the packed
+    row, self-correlations excluded: a diagonal block of n members
+    averages its n(n-1)/2 distinct pairs, an off-diagonal block its
+    n_i*n_j. A sector with no pairs (a singleton, or no member among the
+    tickers) gets 1.0 on its diagonal, with one ``SingletonSectorWarning``
+    per call. :func:`pipeline_stacks` applies the same row step.
     """
-    stack = MatrixStack.of([c]) if isinstance(c, CorrMatrix) else c
+    stack = c if isinstance(c, MatrixStack) else MatrixStack.of([c])
     if stack.kind is not CorrMatrix:
         raise ValidationError("coarse graining takes correlation matrices")
-    if tickers is None:
-        tickers = stack.labels
-    if tickers is None:
+    if stack.labels is None or len(stack.labels) != stack.dim:
         raise ValidationError(
-            "correlation matrix carries no tickers; pass them explicitly"
+            f"a dim-{stack.dim} correlation matrix needs its {stack.dim} tickers"
         )
-    if len(tickers) != stack.dim:
-        raise DimensionMismatch(
-            f"{len(tickers)} tickers for a dim-{stack.dim} matrix"
-        )
-    step = _block_average(sectors, tickers)
+    step = _block_average(sectors, stack.labels)
     n_s = sectors.n_sectors
     out = np.empty((len(stack), packed.packed_length(n_s)))
     for i, row in enumerate(stack.data):

@@ -164,11 +164,12 @@ def load_price_table(path) -> PriceTable:
 
 def parse_price_table(text: str) -> PriceTable:
     """Parse price-table CSV content; see :func:`load_price_table`."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty price file", row=1) from None
+    if not text:
+        raise ParseError("empty price file", row=1)
+    # a list of lines holds no second, wider copy of the text as a
+    # StringIO would; csv.reader ends a line at a trailing "\r" too
+    reader = csv.reader(text.split("\n"))
+    header = next(reader)
     if len(header) < 2:
         raise ParseError("header needs a date column and at least one ticker", row=1)
     tickers = [cell.strip() for cell in header[1:]]
@@ -353,7 +354,7 @@ def load_sector_map(path, tickers) -> SectorMap:
 
 def parse_sector_map(text: str, tickers) -> SectorMap:
     """Parse sector-map CSV content; see :func:`load_sector_map`."""
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(text.split("\n"))
     mapping: dict[str, str] = {}
     for row_no, row in enumerate(reader, start=1):
         if not row or (len(row) == 1 and not row[0].strip()):

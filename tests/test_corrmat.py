@@ -6,7 +6,7 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -259,22 +259,43 @@ def test_coarse_grain_identity_matrix_gives_zeros():
     np.testing.assert_array_equal(g.full(), np.zeros((2, 2)))
 
 
-def test_coarse_grain_matches_double_loop_oracle():
-    rng = np.random.default_rng(12)
-    for _ in range(30):
-        n_s = int(rng.integers(2, 5))
-        n = int(rng.integers(2 * n_s, 16))
-        idx = rng.integers(0, n_s, size=n)
-        idx[: 2 * n_s] = np.repeat(np.arange(n_s), 2)  # no singleton sectors
-        square = rng.uniform(-1, 1, size=(n, n))
-        square = (square + square.T) / 2
-        np.fill_diagonal(square, 1.0)
-        tickers = tuple(f"t{i}" for i in range(n))
-        sm = _sector_map({tickers[i]: f"s{idx[i]}" for i in range(n)})
-        c = _corr_from_square(square, tickers=tickers)
+@st.composite
+def _coarse_grain_cases(draw):
+    """Sector labels per ticker, interleaved in ticker order, whether the
+    map holds a sector with no member among the tickers, and the packed
+    matrix values."""
+    n = draw(st.integers(2, 40))
+    labels = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    memberless = draw(st.booleans())
+    if len(set(labels)) == 1:
+        memberless = True  # a sector map needs two sectors
+    values = draw(arrays(
+        np.float64, packed.packed_length(n),
+        elements=st.floats(-1, 1) | st.sampled_from([0.0, -0.0]),
+    ))
+    return labels, memberless, values
+
+
+@settings(deadline=None)
+@given(case=_coarse_grain_cases())
+@example(case=([0, 1, 1, 0, 2, 1], True, np.linspace(-1, 1, 21)))
+def test_coarse_grain_matches_double_loop_oracle(case):
+    labels, memberless, values = case
+    tickers = tuple(f"t{i}" for i in range(len(labels)))
+    assignment = {t: f"s{lab}" for t, lab in zip(tickers, labels)}
+    if memberless:
+        assignment["absent"] = "s_absent"
+    sm = _sector_map(assignment)
+    c = CorrMatrix(len(tickers), values, date(2015, 2, 1), 0, tickers)
+    idx = sm.indices(tickers)
+    sizes = np.bincount(idx, minlength=sm.n_sectors)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         got = coarse_grain(c, sm).full()
-        want = block_average_oracle(square, sm.indices(tickers), n_s)
-        np.testing.assert_allclose(got, want, atol=1e-14)
+    warned = any(issubclass(w.category, SingletonSectorWarning) for w in caught)
+    assert warned == bool((sizes < 2).any())
+    want = block_average_oracle(c.full(), idx, sm.n_sectors)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 def test_coarse_grain_singleton_sector_warns():
@@ -308,10 +329,13 @@ def test_coarse_grain_is_block_average():
 def test_coarse_grain_requires_tickers():
     c = _corr_from_square(np.eye(4))
     sm = _sector_map({"a": "s1", "b": "s1", "c": "s2", "d": "s2"})
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="tickers"):
         coarse_grain(c, sm)
-    g = coarse_grain(c, sm, tickers=("a", "b", "c", "d"))
-    assert g.dim == 2
+    c = replace(c, tickers=("a", "b", "c", "d"))
+    g = coarse_grain(c, sm)
+    for guhr in (g, MatrixStack.of([g, g])):
+        with pytest.raises(ValidationError, match="takes correlation matrices"):
+            coarse_grain(guhr, sm)
 
 
 def test_matrix_distance_identity_and_symmetry():

@@ -101,6 +101,27 @@ def test_header_only_rejected():
         parse_price_table("date,A\n")
 
 
+def test_parse_line_ends_quotes_and_blank_lines():
+    crlf = parse_price_table(BASIC.replace("\n", "\r\n"))
+    plain = parse_price_table(BASIC)
+    assert (crlf.dates, crlf.tickers) == (plain.dates, plain.tickers)
+    assert crlf.prices.tobytes() == plain.prices.tobytes()
+    quoted = parse_price_table('date,"A,1",B\n2020-01-01,10,20\n\n\n  \n')
+    assert quoted.tickers == ("A,1", "B")
+    assert quoted.prices.tolist() == [[10.0, 20.0]]
+    with pytest.raises(ParseError) as exc:
+        parse_price_table("date,A,B\n2020-01-01,1,2\n\n2020-01-03,1\n")
+    assert (exc.value.row, exc.value.column) == (4, None)
+    assert "expected 3 cells, found 2" in str(exc.value)
+    with pytest.raises(ParseError, match="empty price file"):
+        parse_price_table("")
+    sm = parse_sector_map('ticker,sector\r\n"A,1",tech\r\nB,energy\r\n\r\n', ["A,1", "B"])
+    assert sm.assignment == {"A,1": "tech", "B": "energy"}
+    with pytest.raises(ParseError) as exc:
+        parse_sector_map("A,tech\n\nB\n", ["A", "B"])
+    assert exc.value.row == 3
+
+
 def test_csv_round_trip():
     table = parse_price_table("date,A,B\n2020-01-01,10,\n2020-01-02,11.5,21\n")
     again = parse_price_table(price_table_csv(table))

@@ -119,7 +119,7 @@ def test_planted_levels_recovered_by_coarse_graining():
     table, _ = generate_block_market(spec, seed=3)
     rt = log_returns(table)
     full = ms.epoch_correlation(rt, 0, EpochSpec(length=5000, shift=1))
-    g = coarse_grain(full, spec.sector_map(), tickers=rt.tickers).full()
+    g = coarse_grain(full, spec.sector_map()).full()
     diag = np.diag(g)
     offd = g[~np.eye(6, dtype=bool)]
     assert np.abs(diag - 0.9).max() < 0.03
