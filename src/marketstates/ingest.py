@@ -9,6 +9,14 @@ row/column location, so a bad file points at its own defect.
 Missing values are represented internally as NaN. Ticker columns are sorted
 lexicographically at load time so that every downstream matrix has a
 deterministic row order regardless of how the file was written.
+
+A price file is streamed through ``csv.reader``, and each row's cells become
+one float64 row in a single numpy conversion, so the parse holds neither the
+file's text nor a Python float per cell: about one copy of the price array.
+Only a row with an empty, unparsable, non-positive or non-finite cell is read
+cell by cell, which fills its NaNs or raises its first cell's error. Quoted
+cells may hold commas, quotes and line breaks, and ``load_*(path)`` reads a
+file exactly as ``parse_*(text)`` reads its decoded text.
 """
 
 from __future__ import annotations
@@ -16,9 +24,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 from datetime import date
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -158,18 +166,30 @@ def load_price_table(path) -> PriceTable:
         dates, out-of-order dates, or ragged rows. The error carries the
         offending row/column.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_price_table(text)
+    with open(path, encoding="utf-8", newline="") as handle:
+        return _read_price_table(handle)
 
 
 def parse_price_table(text: str) -> PriceTable:
     """Parse price-table CSV content; see :func:`load_price_table`."""
-    if not text:
+    return _read_price_table(_lines(text))
+
+
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+
+def _lines(text: str):
+    """The lines of ``text`` with their ends, split where a file opened
+    with ``newline=""`` splits them, so that a quoted cell keeps its line
+    breaks and ``parse_*(text)`` reads what ``load_*(path)`` reads."""
+    return (match.group() for match in _LINE.finditer(text))
+
+
+def _read_price_table(lines) -> PriceTable:
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None:
         raise ParseError("empty price file", row=1)
-    # a list of lines holds no second, wider copy of the text as a
-    # StringIO would; csv.reader ends a line at a trailing "\r" too
-    reader = csv.reader(text.split("\n"))
-    header = next(reader)
     if len(header) < 2:
         raise ParseError("header needs a date column and at least one ticker", row=1)
     tickers = [cell.strip() for cell in header[1:]]
@@ -180,9 +200,10 @@ def parse_price_table(text: str) -> PriceTable:
         if name in seen:
             raise DuplicateTicker(f"ticker {name!r} appears twice", row=1, column=col)
         seen[name] = col
+    order = np.argsort(np.array(tickers, dtype=object), kind="stable")
 
     dates: list[date] = []
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []  # one float64 row per day, in ticker order
     for row_no, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue  # blank trailing lines are tolerated
@@ -199,57 +220,76 @@ def parse_price_table(text: str) -> PriceTable:
                     f"date {day} is not after {dates[-1]}", row=row_no, column=1
                 )
         dates.append(day)
-        values = []
-        for col_no, cell in enumerate(row[1:], start=2):
-            cell = cell.strip()
-            if not cell:
-                values.append(MISSING)
-                continue
-            try:
-                price = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"cannot parse price {cell!r}", row=row_no, column=col_no
-                ) from None
-            if not math.isfinite(price) or price <= 0.0:
-                raise NonPositivePrice(
-                    f"price {cell!r} is not a positive finite number",
-                    row=row_no,
-                    column=col_no,
-                )
-            values.append(price)
-        rows.append(values)
+        # numpy converts a cell as float() does; a row it rejects, or one
+        # with a missing, non-positive or non-finite price, goes cell by cell
+        try:
+            values = np.array(row[1:], dtype=np.float64)
+        except ValueError:
+            values = None
+        if values is None or not (values.min() > 0.0 and values.max() < math.inf):
+            values = _parse_price_cells(row, row_no)
+        rows.append(values[order])
 
     if not rows:
         raise ParseError("price file has a header but no data rows", row=2)
-
-    prices = np.array(rows, dtype=np.float64)
-    order = np.argsort(np.array(tickers, dtype=object), kind="stable")
     return PriceTable(
         dates=tuple(dates),
         tickers=tuple(tickers[i] for i in order),
-        prices=prices[:, order],
+        prices=np.stack(rows),
     )
 
 
+def _parse_price_cells(row: list[str], row_no: int) -> np.ndarray:
+    """Prices of one row read cell by cell: NaN for an empty cell, and the
+    first bad cell raises its error with its row and column."""
+    values = np.empty(len(row) - 1)
+    for col_no, cell in enumerate(row[1:], start=2):
+        cell = cell.strip()
+        if not cell:
+            values[col_no - 2] = MISSING
+            continue
+        try:
+            price = float(cell)
+        except ValueError:
+            raise ParseError(
+                f"cannot parse price {cell!r}", row=row_no, column=col_no
+            ) from None
+        if not math.isfinite(price) or price <= 0.0:
+            raise NonPositivePrice(
+                f"price {cell!r} is not a positive finite number",
+                row=row_no,
+                column=col_no,
+            )
+        values[col_no - 2] = price
+    return values
+
+
+def _csv_cell(cell: str) -> str:
+    """``cell`` as csv's minimal quoting writes it, with both "\\r" and
+    "\\n" counted as line ends."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def price_table_csv(table: PriceTable) -> str:
-    """Render a PriceTable back into the file format consumed by this module."""
+    """Render a PriceTable back into the file format consumed by this module.
+
+    Prices are written with 17 significant digits, so they parse back to
+    the same float64; a missing price is an empty cell.
+    """
     out = io.StringIO()
-    out.write("date," + ",".join(table.tickers) + "\n")
+    out.write(",".join(_csv_cell(c) for c in ("date", *table.tickers)) + "\n")
     for t, day in enumerate(table.dates):
+        # a Python float formats faster than a numpy scalar; one "%"-format
+        # per row is faster still, but its growing row strings leave the
+        # process's heap megabytes larger after the call
         cells = [
-            "" if math.isnan(p) else format(p, ".17g") for p in table.prices[t]
+            "" if math.isnan(p) else format(p, ".17g")
+            for p in table.prices[t].tolist()
         ]
         out.write(day.isoformat() + "," + ",".join(cells) + "\n")
     return out.getvalue()
-
-
-def _longest_nan_run(column: np.ndarray) -> int:
-    longest = run = 0
-    for isnan in np.isnan(column):
-        run = run + 1 if isnan else 0
-        longest = max(longest, run)
-    return longest
 
 
 def filter_stocks(table: PriceTable, max_gap: int) -> FilterResult:
@@ -265,7 +305,8 @@ def filter_stocks(table: PriceTable, max_gap: int) -> FilterResult:
     -------
     FilterResult
         The surviving-ticker table and a report of dropped tickers (with
-        their longest gap) plus fill counts.
+        their longest gap) plus fill counts. A table without gaps comes
+        back as it is, uncopied.
 
     Raises
     ------
@@ -274,39 +315,36 @@ def filter_stocks(table: PriceTable, max_gap: int) -> FilterResult:
     """
     if max_gap < 0:
         raise ParameterRange("max_gap must be >= 0")
-    keep: list[int] = []
-    dropped: dict[str, int] = {}
-    for j, ticker in enumerate(table.tickers):
-        col = table.prices[:, j]
-        if np.isnan(col).all():
-            dropped[ticker] = len(col)
-            continue
-        longest = _longest_nan_run(col)
-        if longest > max_gap:
-            dropped[ticker] = longest
-        else:
-            keep.append(j)
-    if not keep:
+    nan = np.isnan(table.prices)
+    gappy = np.flatnonzero(nan.any(axis=0))
+    if not gappy.size:
+        return FilterResult(table, FilterReport({}, 0, 0))
+    # last[t, g]: the latest row at or before t where gappy column g has a
+    # price, -1 before its first; t - last[t, g] is the run of missing
+    # entries that ends at t
+    rows = np.arange(table.n_days)[:, None]
+    last = np.where(nan[:, gappy], -1, rows)
+    np.maximum.accumulate(last, axis=0, out=last)
+    longest = (rows - last).max(axis=0)
+    # a ticker with no price at all is dropped whatever max_gap is
+    drop = (longest > max_gap) | (last[-1] < 0)
+    dropped = {table.tickers[j]: int(n) for j, n in zip(gappy[drop], longest[drop])}
+    keep = np.setdiff1d(np.arange(table.n_tickers), gappy[drop])
+    if not keep.size:
         raise EmptyUniverse(
             f"no tickers survive max_gap={max_gap}; dropped {len(dropped)}"
         )
 
-    prices = table.prices[:, keep].copy()
-    forward_filled = 0
-    back_filled = 0
-    for j in range(prices.shape[1]):
-        col = prices[:, j]
-        nan = np.isnan(col)
-        if not nan.any():
-            continue
-        first_valid = int(np.flatnonzero(~nan)[0])
-        back_filled += int(nan[:first_valid].sum())
-        col[:first_valid] = col[first_valid]
-        # forward fill: index of the most recent valid row at or before t
-        valid_idx = np.where(np.isnan(col), -1, np.arange(len(col)))
-        valid_idx = np.maximum.accumulate(valid_idx)
-        forward_filled += int(np.isnan(col).sum())
-        prices[:, j] = col[valid_idx]
+    prices = table.prices[:, keep]
+    kept_gappy = gappy[~drop]
+    fill = np.searchsorted(keep, kept_gappy)  # their columns in prices
+    source = last[:, ~drop]
+    leading = source < 0
+    back_filled = int(leading.sum())
+    forward_filled = int(nan[:, kept_gappy].sum()) - back_filled
+    # a leading gap takes the first price: the first row where source >= 0
+    source = np.where(leading, np.argmax(~leading, axis=0), source)
+    prices[:, fill] = np.take_along_axis(prices[:, fill], source, axis=0)
 
     filtered = PriceTable(
         dates=table.dates,
@@ -348,13 +386,17 @@ def load_sector_map(path, tickers) -> SectorMap:
     UnmappedTicker
         Listing every requested ticker absent from the file.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_sector_map(text, tickers)
+    with open(path, encoding="utf-8", newline="") as handle:
+        return _read_sector_map(handle, tickers)
 
 
 def parse_sector_map(text: str, tickers) -> SectorMap:
     """Parse sector-map CSV content; see :func:`load_sector_map`."""
-    reader = csv.reader(text.split("\n"))
+    return _read_sector_map(_lines(text), tickers)
+
+
+def _read_sector_map(lines, tickers) -> SectorMap:
+    reader = csv.reader(lines)
     mapping: dict[str, str] = {}
     for row_no, row in enumerate(reader, start=1):
         if not row or (len(row) == 1 and not row[0].strip()):

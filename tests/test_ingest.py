@@ -1,8 +1,13 @@
+import csv
+import io
 import math
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from marketstates.errors import (
     DuplicateDate,
@@ -20,6 +25,8 @@ from marketstates.errors import (
 from marketstates.ingest import (
     PriceTable,
     filter_stocks,
+    load_price_table,
+    load_sector_map,
     log_returns,
     parse_price_table,
     parse_sector_map,
@@ -122,7 +129,28 @@ def test_parse_line_ends_quotes_and_blank_lines():
     assert exc.value.row == 3
 
 
+def test_quoted_cells_keep_line_breaks(tmp_path):
+    sectors = '"A\nB",s1\r\n"C\r\nD",s2\r\n'
+    path = tmp_path / "sectors.csv"
+    path.write_bytes(sectors.encode())
+    for sm in (
+        parse_sector_map(sectors, ["A\nB", "C\r\nD"]),
+        load_sector_map(path, ["A\nB", "C\r\nD"]),
+    ):
+        assert sm.assignment == {"A\nB": "s1", "C\r\nD": "s2"}
+    prices = 'date,"B\nx","A\ry"\r\n2020-01-01,1,2\r\n'
+    path = tmp_path / "prices.csv"
+    path.write_bytes(prices.encode())
+    for table in (parse_price_table(prices), load_price_table(path)):
+        assert table.tickers == ("A\ry", "B\nx")
+        assert table.prices.tolist() == [[2.0, 1.0]]
+
+
 def test_csv_round_trip():
+    quoted = parse_price_table('date,"A,B",C\n2000-01-03,1,2\n')
+    assert quoted.tickers == ("A,B", "C")
+    assert price_table_csv(quoted) == 'date,"A,B",C\n2000-01-03,1,2\n'
+    assert parse_price_table(price_table_csv(quoted)).tickers == ("A,B", "C")
     table = parse_price_table("date,A,B\n2020-01-01,10,\n2020-01-02,11.5,21\n")
     again = parse_price_table(price_table_csv(table))
     assert again.tickers == table.tickers
@@ -174,8 +202,8 @@ def test_filter_backfills_leading_gap():
 def test_filter_identity_when_gap_free():
     table = parse_price_table(BASIC)
     result = filter_stocks(table, max_gap=0)
-    np.testing.assert_array_equal(result.table.prices, table.prices)
-    assert result.report.dropped == {}
+    assert result.table is table
+    assert result.report == ({}, 0, 0)
 
 
 def test_filter_all_missing_column_dropped_regardless():
@@ -280,3 +308,226 @@ def test_sector_map_duplicate_row():
 def test_sector_map_needs_two_sectors():
     with pytest.raises(ValidationError):
         parse_sector_map("A,tech\nB,tech\n", ["A", "B"])
+
+
+# Reference implementations: the per-cell parse and render and the
+# per-element gap scan that the array code in ``ingest`` replaced. The
+# parity tests below hold the array code to their results bit for bit.
+
+
+def _reference_parse(text: str) -> PriceTable:
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader)
+    tickers = [cell.strip() for cell in header[1:]]
+    dates, rows = [], []
+    for row_no, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        dates.append(date.fromisoformat(row[0].strip()))
+        values = []
+        for col_no, cell in enumerate(row[1:], start=2):
+            cell = cell.strip()
+            if not cell:
+                values.append(math.nan)
+                continue
+            try:
+                price = float(cell)
+            except ValueError:
+                raise ParseError("bad price", row=row_no, column=col_no) from None
+            if not math.isfinite(price) or price <= 0.0:
+                raise NonPositivePrice("bad price", row=row_no, column=col_no)
+            values.append(price)
+        rows.append(values)
+    order = np.argsort(np.array(tickers, dtype=object), kind="stable")
+    return PriceTable(
+        dates=tuple(dates),
+        tickers=tuple(tickers[i] for i in order),
+        prices=np.array(rows, dtype=np.float64)[:, order],
+    )
+
+
+def _reference_csv(table: PriceTable) -> str:
+    out = io.StringIO()
+    # "\r\n" makes csv quote a cell holding either line end
+    csv.writer(out, lineterminator="\r\n").writerow(("date", *table.tickers))
+    head = out.getvalue()[:-2] + "\n"
+    return head + "".join(
+        day.isoformat()
+        + ","
+        + ",".join("" if math.isnan(p) else format(p, ".17g") for p in table.prices[t])
+        + "\n"
+        for t, day in enumerate(table.dates)
+    )
+
+
+def _reference_longest_nan_run(column: np.ndarray) -> int:
+    longest = run = 0
+    for isnan in np.isnan(column):
+        run = run + 1 if isnan else 0
+        longest = max(longest, run)
+    return longest
+
+
+def _reference_filter(table: PriceTable, max_gap: int):
+    keep, dropped = [], {}
+    for j, ticker in enumerate(table.tickers):
+        col = table.prices[:, j]
+        if np.isnan(col).all():
+            dropped[ticker] = len(col)
+            continue
+        longest = _reference_longest_nan_run(col)
+        if longest > max_gap:
+            dropped[ticker] = longest
+        else:
+            keep.append(j)
+    if not keep:
+        raise EmptyUniverse("no tickers survive")
+    prices = table.prices[:, keep].copy()
+    forward_filled = back_filled = 0
+    for j in range(prices.shape[1]):
+        col = prices[:, j]
+        nan = np.isnan(col)
+        if not nan.any():
+            continue
+        first_valid = int(np.flatnonzero(~nan)[0])
+        back_filled += int(nan[:first_valid].sum())
+        col[:first_valid] = col[first_valid]
+        valid_idx = np.where(np.isnan(col), -1, np.arange(len(col)))
+        valid_idx = np.maximum.accumulate(valid_idx)
+        forward_filled += int(np.isnan(col).sum())
+        prices[:, j] = col[valid_idx]
+    tickers = tuple(table.tickers[j] for j in keep)
+    return tickers, prices, dropped, forward_filled, back_filled
+
+
+_TICKERS = st.lists(
+    st.text(alphabet='AB ,"\n\r', min_size=1, max_size=4).filter(
+        lambda t: t == t.strip()
+    ),
+    min_size=1,
+    max_size=4,
+    unique=True,
+)
+_PRICES = st.floats(min_value=5e-324, max_value=1.7976931348623157e308) | st.just(
+    math.nan
+)
+
+
+@st.composite
+def _price_tables(draw) -> PriceTable:
+    tickers = sorted(draw(_TICKERS))
+    n_days = draw(st.integers(1, 6))
+    start = draw(st.dates(date(1990, 1, 1), date(2030, 1, 1)))
+    steps = draw(st.lists(st.integers(1, 5), min_size=n_days, max_size=n_days))
+    dates = tuple(start + timedelta(days=int(d)) for d in np.cumsum(steps))
+    cells = draw(st.lists(_PRICES, min_size=n_days * len(tickers), max_size=n_days * len(tickers)))
+    prices = np.array(cells, dtype=np.float64).reshape(n_days, len(tickers))
+    return PriceTable(dates=dates, tickers=tuple(tickers), prices=prices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=_price_tables())
+@example(
+    table=PriceTable(
+        dates=(date(2000, 1, 3),),
+        tickers=('"A\r\nB",', "A,B", "C"),
+        prices=np.array([[5e-324, math.nan, 1.7976931348623157e308]]),
+    )
+)
+def test_price_csv_parity_with_per_cell_reference(table, tmp_path_factory):
+    text = price_table_csv(table)
+    assert text == _reference_csv(table)
+    path = tmp_path_factory.getbasetemp() / "parity_prices.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for parsed in (parse_price_table(text), load_price_table(path), _reference_parse(text)):
+        assert parsed.dates == table.dates
+        assert parsed.tickers == table.tickers
+        assert parsed.prices.tobytes() == table.prices.tobytes()
+
+
+def _parse_outcome(parse, source):
+    try:
+        table = parse(source)
+    except ParseError as exc:
+        return type(exc), exc.row, exc.column
+    return table.dates, table.tickers, table.prices.tobytes()
+
+
+_BAD_CELLS = (" 2.5 ", "1_0", "", "  ", "abc", "0", "-1", "nan", "inf", "1e400", "1e-400")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_corrupted_cell_parity_with_per_cell_reference(data, tmp_path_factory):
+    n_days = data.draw(st.integers(1, 5))
+    n_tickers = data.draw(st.integers(1, 4))
+    cells = [
+        ["" if math.isnan(p) else format(p, ".17g") for p in data.draw(
+            st.lists(_PRICES, min_size=n_tickers, max_size=n_tickers))]
+        for _ in range(n_days)
+    ]
+    row = data.draw(st.integers(0, n_days - 1))
+    col = data.draw(st.integers(0, n_tickers - 1))
+    cells[row][col] = data.draw(st.sampled_from(_BAD_CELLS))
+    # file order is not ticker order, so the parse reorders columns
+    text = "date," + ",".join(f"T{j}" for j in reversed(range(n_tickers))) + "\n"
+    for t, line in enumerate(cells):
+        text += f"{date(2020, 1, 1) + timedelta(days=t)},{','.join(line)}\n"
+    path = tmp_path_factory.getbasetemp() / "corrupted_prices.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = _parse_outcome(_reference_parse, text)
+    assert _parse_outcome(parse_price_table, text) == expected
+    assert _parse_outcome(load_price_table, path) == expected
+
+
+def test_load_price_table_memory_bound(tmp_path):
+    rng = np.random.default_rng(8)
+    days = tuple(date(2000, 1, 3) + timedelta(days=d) for d in range(3500))
+    tickers = tuple(f"T{j:02d}" for j in range(60))
+    prices = np.exp(rng.normal(3.0, 0.5, size=(3500, 60)))
+    path = tmp_path / "prices.csv"
+    path.write_text(price_table_csv(PriceTable(days, tickers, prices)), encoding="utf-8")
+    del prices
+    tracemalloc.start()
+    try:
+        table = load_price_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the parse holds one float64 copy of the prices plus per-row arrays,
+    # never the text or a Python float per cell
+    assert peak <= 4 * table.prices.nbytes
+
+
+@st.composite
+def _gappy_tables(draw) -> PriceTable:
+    n_days = draw(st.integers(1, 10))
+    n_tickers = draw(st.integers(1, 5))
+    columns = [
+        draw(st.just([True] * n_days) | st.lists(st.booleans(), min_size=n_days, max_size=n_days))
+        for _ in range(n_tickers)
+    ]
+    missing = np.array(columns, dtype=bool).T
+    prices = np.arange(1.0, n_days * n_tickers + 1).reshape(n_days, n_tickers)
+    prices[missing] = math.nan
+    days = tuple(date(2020, 1, 1) + timedelta(days=d) for d in range(n_days))
+    return PriceTable(days, tuple(f"T{j}" for j in range(n_tickers)), prices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_gappy_tables(), max_gap=st.integers(0, 5))
+def test_filter_matches_per_element_reference(table, max_gap):
+    before = table.prices.copy()
+    try:
+        tickers, prices, dropped, forward, back = _reference_filter(table, max_gap)
+    except EmptyUniverse:
+        with pytest.raises(EmptyUniverse):
+            filter_stocks(table, max_gap)
+        return
+    result = filter_stocks(table, max_gap)
+    assert result.table.dates == table.dates
+    assert result.table.tickers == tickers
+    assert result.table.prices.tobytes() == prices.tobytes()
+    assert list(result.report.dropped.items()) == list(dropped.items())
+    assert result.report[1:] == (forward, back)
+    assert table.prices.tobytes() == before.tobytes()
