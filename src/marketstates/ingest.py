@@ -13,8 +13,9 @@ deterministic row order regardless of how the file was written.
 A price file is streamed through ``csv.reader``, and each row's cells become
 one float64 row in a single numpy conversion, so the parse holds neither the
 file's text nor a Python float per cell: about one copy of the price array.
-Only a row with an empty, unparsable, non-positive or non-finite cell is read
-cell by cell, which fills its NaNs or raises its first cell's error. Quoted
+Empty cells enter that conversion as NaN; only a row with an unparsable,
+non-positive or non-finite cell is read cell by cell, which raises its first
+bad cell's error. Quoted
 cells may hold commas, quotes and line breaks, and ``load_*(path)`` reads a
 file exactly as ``parse_*(text)`` reads its decoded text.
 """
@@ -24,7 +25,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import re
 from dataclasses import dataclass
 from datetime import date
 from typing import NamedTuple
@@ -172,17 +172,7 @@ def load_price_table(path) -> PriceTable:
 
 def parse_price_table(text: str) -> PriceTable:
     """Parse price-table CSV content; see :func:`load_price_table`."""
-    return _read_price_table(_lines(text))
-
-
-_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
-
-
-def _lines(text: str):
-    """The lines of ``text`` with their ends, split where a file opened
-    with ``newline=""`` splits them, so that a quoted cell keeps its line
-    breaks and ``parse_*(text)`` reads what ``load_*(path)`` reads."""
-    return (match.group() for match in _LINE.finditer(text))
+    return _read_price_table(io.StringIO(text, newline=""))
 
 
 def _read_price_table(lines) -> PriceTable:
@@ -220,15 +210,7 @@ def _read_price_table(lines) -> PriceTable:
                     f"date {day} is not after {dates[-1]}", row=row_no, column=1
                 )
         dates.append(day)
-        # numpy converts a cell as float() does; a row it rejects, or one
-        # with a missing, non-positive or non-finite price, goes cell by cell
-        try:
-            values = np.array(row[1:], dtype=np.float64)
-        except ValueError:
-            values = None
-        if values is None or not (values.min() > 0.0 and values.max() < math.inf):
-            values = _parse_price_cells(row, row_no)
-        rows.append(values[order])
+        rows.append(_parse_price_row(row, row_no)[order])
 
     if not rows:
         raise ParseError("price file has a header but no data rows", row=2)
@@ -237,6 +219,25 @@ def _read_price_table(lines) -> PriceTable:
         tickers=tuple(tickers[i] for i in order),
         prices=np.stack(rows),
     )
+
+
+def _parse_price_row(row: list[str], row_no: int) -> np.ndarray:
+    """Prices of one row: NaN for an empty cell, and the first bad cell
+    raises its error with its row and column."""
+    cells = row[1:]
+    if "" in cells:
+        cells = [cell or "nan" for cell in cells]
+    # numpy converts a cell as float() does; a row it rejects, or one with a
+    # non-positive or non-finite price outside its empty cells, goes cell by
+    # cell
+    try:
+        values = np.array(cells, dtype=np.float64)
+    except ValueError:
+        return _parse_price_cells(row, row_no)
+    bad = np.flatnonzero(~((values > 0.0) & (values < math.inf)))
+    if any(row[j] for j in bad + 1):
+        return _parse_price_cells(row, row_no)
+    return values
 
 
 def _parse_price_cells(row: list[str], row_no: int) -> np.ndarray:
@@ -315,6 +316,11 @@ def filter_stocks(table: PriceTable, max_gap: int) -> FilterResult:
     """
     if max_gap < 0:
         raise ParameterRange("max_gap must be >= 0")
+    if not table.prices.size:
+        # a ticker with no price at all is dropped, so an empty grid keeps none
+        raise EmptyUniverse(
+            f"no tickers survive max_gap={max_gap}; dropped {table.n_tickers}"
+        )
     nan = np.isnan(table.prices)
     gappy = np.flatnonzero(nan.any(axis=0))
     if not gappy.size:
@@ -392,7 +398,7 @@ def load_sector_map(path, tickers) -> SectorMap:
 
 def parse_sector_map(text: str, tickers) -> SectorMap:
     """Parse sector-map CSV content; see :func:`load_sector_map`."""
-    return _read_sector_map(_lines(text), tickers)
+    return _read_sector_map(io.StringIO(text, newline=""), tickers)
 
 
 def _read_sector_map(lines, tickers) -> SectorMap:

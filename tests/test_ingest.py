@@ -218,6 +218,15 @@ def test_filter_empty_universe():
         filter_stocks(table, max_gap=2)
 
 
+def test_filter_empty_grid():
+    table = parse_price_table(BASIC)
+    for prices in (table.prices[:0], table.prices[:, :0]):
+        dates = table.dates[: prices.shape[0]]
+        tickers = table.tickers[: prices.shape[1]]
+        with pytest.raises(EmptyUniverse):
+            filter_stocks(PriceTable(dates, tickers, prices), max_gap=2)
+
+
 def test_filter_rejects_negative_gap():
     with pytest.raises(ParameterRange):
         filter_stocks(parse_price_table(BASIC), max_gap=-1)
@@ -480,11 +489,14 @@ def test_corrupted_cell_parity_with_per_cell_reference(data, tmp_path_factory):
     assert _parse_outcome(load_price_table, path) == expected
 
 
-def test_load_price_table_memory_bound(tmp_path):
+@pytest.mark.parametrize("gap_share", [0.0, 0.02])
+def test_load_price_table_memory_bound(tmp_path, gap_share):
     rng = np.random.default_rng(8)
     days = tuple(date(2000, 1, 3) + timedelta(days=d) for d in range(3500))
     tickers = tuple(f"T{j:02d}" for j in range(60))
     prices = np.exp(rng.normal(3.0, 0.5, size=(3500, 60)))
+    # at 2% of cells missing, about 70% of the rows hold a gap
+    prices[rng.random(prices.shape) < gap_share] = math.nan
     path = tmp_path / "prices.csv"
     path.write_text(price_table_csv(PriceTable(days, tickers, prices)), encoding="utf-8")
     del prices
@@ -501,13 +513,13 @@ def test_load_price_table_memory_bound(tmp_path):
 
 @st.composite
 def _gappy_tables(draw) -> PriceTable:
-    n_days = draw(st.integers(1, 10))
-    n_tickers = draw(st.integers(1, 5))
+    n_days = draw(st.integers(0, 10))
+    n_tickers = draw(st.integers(0, 5))
     columns = [
         draw(st.just([True] * n_days) | st.lists(st.booleans(), min_size=n_days, max_size=n_days))
         for _ in range(n_tickers)
     ]
-    missing = np.array(columns, dtype=bool).T
+    missing = np.array(columns, dtype=bool).reshape(n_tickers, n_days).T
     prices = np.arange(1.0, n_days * n_tickers + 1).reshape(n_days, n_tickers)
     prices[missing] = math.nan
     days = tuple(date(2020, 1, 1) + timedelta(days=d) for d in range(n_days))
