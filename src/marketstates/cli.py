@@ -24,6 +24,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .clustering import (
+    check_grid,
     check_n_init,
     check_threads,
     grid_csv,
@@ -41,6 +42,7 @@ from .errors import (
     ValidationError,
 )
 from .ingest import (
+    check_max_gap,
     filter_stocks,
     load_price_table,
     load_sector_map,
@@ -212,8 +214,12 @@ def _read_config_file(path: str) -> list[tuple[str, str]]:
     p = Path(path)
     if not p.is_file():
         raise ValidationError(f"config file not found: {path}")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ValidationError(f"config file is not UTF-8 text: {path}") from None
     pairs = []
-    for i, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    for i, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
@@ -257,12 +263,21 @@ def _sha256(path: str) -> str:
 
 def _check_ranges(cfg) -> EpochSpec:
     """Data-free range checks, made before any input is read; returns the EpochSpec."""
+    if hasattr(cfg, "stride"):
+        if cfg.stride < 1:
+            raise ParameterRange(f"stride must be >= 1, got {cfg.stride}")
+        if cfg.k < 2:
+            raise ParameterRange(f"transitions need k >= 2 for tridiagonality, got {cfg.k}")
+        check_damping(cfg.damping)
     if hasattr(cfg, "k") and cfg.k < 1:
         raise ParameterRange(f"k must be >= 1, got {cfg.k}")
     check_n_init(cfg.n_init)
     check_threads(cfg.threads)
-    for eps in cfg.epsilon_grid if hasattr(cfg, "epsilon_grid") else [cfg.epsilon]:
-        check_epsilon(eps)
+    check_max_gap(cfg.max_gap)
+    if hasattr(cfg, "epsilon_grid"):
+        check_grid(cfg.epsilon_grid, cfg.k_range, cfg.k_min)
+    else:
+        check_epsilon(cfg.epsilon)
     return EpochSpec(length=cfg.epoch, shift=cfg.shift)
 
 
@@ -340,11 +355,6 @@ def cmd_optimize(cfg, out_dir: Path):
 
 
 def cmd_transitions(cfg, out_dir: Path):
-    if cfg.stride < 1:
-        raise ParameterRange(f"stride must be >= 1, got {cfg.stride}")
-    if cfg.k < 2:
-        raise ParameterRange(f"transitions need k >= 2 for tridiagonality, got {cfg.k}")
-    check_damping(cfg.damping)
     returns, sectors, spec = _prepare_data(cfg)
     epochs = spec.window_count(returns.n_rows)
     kept = len(range(0, epochs, cfg.stride))

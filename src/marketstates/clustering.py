@@ -33,8 +33,13 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.spatial.distance import cdist
 
-from . import packed
-from .corrmat import EpochSpec, MatrixStack, check_epsilon, pipeline_stacks
+from .corrmat import (
+    EpochSpec,
+    MatrixStack,
+    average_correlation,
+    check_epsilon,
+    pipeline_stacks,
+)
 from .errors import (
     InsufficientData,
     MarketStatesError,
@@ -65,17 +70,17 @@ def check_n_init(n_init: int):
         raise ParameterRange(f"n_init must be >= 2, got {n_init}")
 
 
-def check_threads(threads: int | None):
-    """None runs serially; a worker count must be at least 1."""
-    if threads is not None and threads < 1:
+def check_threads(threads: int):
+    """A worker count must be at least 1; 1 runs serially."""
+    if threads < 1:
         raise ParameterRange(f"threads must be >= 1, got {threads}")
 
 
-def thread_map(fn, items, threads: int | None) -> list:
+def thread_map(fn, items, threads: int) -> list:
     """``[fn(x) for x in items]`` in order, on ``threads`` worker threads
-    when more than one; None or 1 runs serially."""
+    when more than one; 1 runs serially."""
     check_threads(threads)
-    if threads is not None and threads > 1:
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]
@@ -219,7 +224,7 @@ def sigma_intra(
     n_init: int,
     seed: int,
     metric: str = "l1",
-    threads: int | None = None,
+    threads: int = 1,
 ) -> SigmaIntraResult:
     """Restart k-means n_init times; σ_intra is the population standard
     deviation of the per-run d_intra values.
@@ -278,6 +283,18 @@ class GridResult:
         raise KeyError((k, epsilon))
 
 
+def check_grid(epsilon_grid: list[float], k_range: list[int], k_min_admissible: int):
+    """Some ε, all in [0, 1], and some k, one at or above the floor."""
+    if not epsilon_grid or not k_range:
+        raise ValidationError("epsilon grid and k range must be nonempty")
+    for e in epsilon_grid:
+        check_epsilon(e)
+    if not any(k >= k_min_admissible for k in k_range):
+        raise ValidationError(
+            f"no k in {k_range} reaches the admissibility floor {k_min_admissible}"
+        )
+
+
 def optimize_states(
     returns: ReturnTable,
     spec: EpochSpec,
@@ -288,7 +305,7 @@ def optimize_states(
     n_init: int,
     seed: int,
     metric: str = "l1",
-    threads: int | None = None,
+    threads: int = 1,
 ) -> GridResult:
     """Scan the (k, epsilon) grid and pick the σ_intra minimum.
 
@@ -304,16 +321,9 @@ def optimize_states(
     """
     eps_list = [float(e) for e in epsilon_grid]
     k_list = [int(k) for k in k_range]
-    if not eps_list or not k_list:
-        raise ValidationError("epsilon grid and k range must be nonempty")
-    for e in eps_list:
-        check_epsilon(e)
+    check_grid(eps_list, k_list, k_min_admissible)
     check_n_init(n_init)
     check_threads(threads)
-    if not any(k >= k_min_admissible for k in k_list):
-        raise ValidationError(
-            f"no k in {k_list} reaches the admissibility floor {k_min_admissible}"
-        )
 
     guhr = None if sectors is None else pipeline_stacks(returns, spec, eps_list, sectors)
     cells: list[GridCell] = []
@@ -369,12 +379,7 @@ def order_states(c: Clustering, matrices) -> StateSequence:
         raise ValidationError(
             f"{len(stack)} matrices for a clustering of {c.n_points} points"
         )
-    if stack.dim < 2:
-        raise ValidationError("average correlation needs dim >= 2")
-    # per row, as average_correlation sums: a 2-D masked mean may differ in the last bit
-    mask = packed.strict_upper_mask(stack.dim)
-    avg = np.array([row[mask].mean() for row in stack.data])
-
+    avg = average_correlation(stack)
     means = np.array([avg[c.assignments == g].mean() for g in range(c.k)])
     order = np.argsort(means, kind="stable")
     if np.unique(means).size < c.k:

@@ -243,7 +243,7 @@ def _block_average(sectors: SectorMap, tickers):
     rows, cols = packed.upper_indices(len(tickers))
     lo = np.minimum(idx[rows], idx[cols])
     hi = np.maximum(idx[rows], idx[cols])
-    block = lo * n_s - lo * (lo - 1) // 2 + (hi - lo)
+    block = packed.diagonal_positions(n_s)[lo] + (hi - lo)
     block[packed.diagonal_positions(len(tickers))] = packed.packed_length(n_s)
     pairs = np.bincount(block)[:-1]
     paired = pairs > 0
@@ -350,11 +350,15 @@ def matrix_distance(a, b) -> float:
     return float(np.abs(a.data - b.data).sum())
 
 
-def average_correlation(matrix) -> float:
-    """Mean of the strict upper triangle (diagonal excluded for both kinds)."""
+def average_correlation(matrix):
+    """Mean of the strict upper triangle (diagonal excluded for both kinds);
+    for a MatrixStack one mean per row, each reduced as a single matrix's
+    is (a 2-D masked mean may differ in the last bit)."""
     if matrix.dim < 2:
         raise ValidationError("average correlation needs dim >= 2")
     mask = packed.strict_upper_mask(matrix.dim)
+    if isinstance(matrix, MatrixStack):
+        return np.array([row[mask].mean() for row in matrix.data])
     return float(matrix.data[mask].mean())
 
 

@@ -102,19 +102,27 @@ class SectorMap:
 
     assignment: dict[str, str]
     sectors: tuple[str, ...]
-    sizes: dict[str, int]
 
     def __post_init__(self):
         if len(self.sectors) < 2:
             raise ValidationError(
                 f"need at least 2 sectors, got {len(self.sectors)}: {self.sectors}"
             )
-        if any(self.sizes[s] < 1 for s in self.sectors):
+        unknown = sorted(set(self.assignment.values()) - set(self.sectors))
+        if unknown:
+            raise ValidationError(f"assignment labels {unknown} are not sectors")
+        if any(n < 1 for n in self.sizes.values()):
             raise ValidationError("every sector must have at least one member")
 
     @property
     def n_sectors(self) -> int:
         return len(self.sectors)
+
+    @property
+    def sizes(self) -> dict[str, int]:
+        """Member count of each sector, in sector order."""
+        labels = list(self.assignment.values())
+        return {s: labels.count(s) for s in self.sectors}
 
     def indices(self, tickers) -> np.ndarray:
         """Sector index (position in ``sectors``) for each given ticker."""
@@ -166,8 +174,16 @@ def load_price_table(path) -> PriceTable:
         dates, out-of-order dates, or ragged rows. The error carries the
         offending row/column.
     """
+    return _read_file(path, _read_price_table)
+
+
+def _read_file(path, read, *args):
+    """``read(handle, *args)`` over the file as UTF-8 text, or ParseError."""
     with open(path, encoding="utf-8", newline="") as handle:
-        return _read_price_table(handle)
+        try:
+            return read(handle, *args)
+        except UnicodeDecodeError:
+            raise ParseError(f"file is not UTF-8 text: {path}") from None
 
 
 def parse_price_table(text: str) -> PriceTable:
@@ -293,6 +309,12 @@ def price_table_csv(table: PriceTable) -> str:
     return out.getvalue()
 
 
+def check_max_gap(max_gap: int):
+    """The longest gap a ticker may keep cannot be negative."""
+    if max_gap < 0:
+        raise ParameterRange("max_gap must be >= 0")
+
+
 def filter_stocks(table: PriceTable, max_gap: int) -> FilterResult:
     """Drop gappy tickers and fill the short gaps that remain.
 
@@ -314,43 +336,38 @@ def filter_stocks(table: PriceTable, max_gap: int) -> FilterResult:
     EmptyUniverse
         If no ticker survives.
     """
-    if max_gap < 0:
-        raise ParameterRange("max_gap must be >= 0")
+    check_max_gap(max_gap)
     if not table.prices.size:
         # a ticker with no price at all is dropped, so an empty grid keeps none
         raise EmptyUniverse(
             f"no tickers survive max_gap={max_gap}; dropped {table.n_tickers}"
         )
     nan = np.isnan(table.prices)
-    gappy = np.flatnonzero(nan.any(axis=0))
-    if not gappy.size:
+    if not nan.any():
         return FilterResult(table, FilterReport({}, 0, 0))
-    # last[t, g]: the latest row at or before t where gappy column g has a
-    # price, -1 before its first; t - last[t, g] is the run of missing
-    # entries that ends at t
+    # last[t, j]: the latest row at or before t where column j has a price,
+    # -1 before its first; t - last[t, j] is the run of missing entries
+    # that ends at t
     rows = np.arange(table.n_days)[:, None]
-    last = np.where(nan[:, gappy], -1, rows)
+    last = np.where(nan, -1, rows)
     np.maximum.accumulate(last, axis=0, out=last)
     longest = (rows - last).max(axis=0)
     # a ticker with no price at all is dropped whatever max_gap is
     drop = (longest > max_gap) | (last[-1] < 0)
-    dropped = {table.tickers[j]: int(n) for j, n in zip(gappy[drop], longest[drop])}
-    keep = np.setdiff1d(np.arange(table.n_tickers), gappy[drop])
+    dropped = {table.tickers[j]: int(longest[j]) for j in np.flatnonzero(drop)}
+    keep = np.flatnonzero(~drop)
     if not keep.size:
         raise EmptyUniverse(
             f"no tickers survive max_gap={max_gap}; dropped {len(dropped)}"
         )
 
-    prices = table.prices[:, keep]
-    kept_gappy = gappy[~drop]
-    fill = np.searchsorted(keep, kept_gappy)  # their columns in prices
-    source = last[:, ~drop]
+    source = last[:, keep]
     leading = source < 0
     back_filled = int(leading.sum())
-    forward_filled = int(nan[:, kept_gappy].sum()) - back_filled
+    forward_filled = int(nan[:, keep].sum()) - back_filled
     # a leading gap takes the first price: the first row where source >= 0
     source = np.where(leading, np.argmax(~leading, axis=0), source)
-    prices[:, fill] = np.take_along_axis(prices[:, fill], source, axis=0)
+    prices = np.take_along_axis(table.prices[:, keep], source, axis=0)
 
     filtered = PriceTable(
         dates=table.dates,
@@ -392,8 +409,7 @@ def load_sector_map(path, tickers) -> SectorMap:
     UnmappedTicker
         Listing every requested ticker absent from the file.
     """
-    with open(path, encoding="utf-8", newline="") as handle:
-        return _read_sector_map(handle, tickers)
+    return _read_file(path, _read_sector_map, tickers)
 
 
 def parse_sector_map(text: str, tickers) -> SectorMap:
@@ -424,11 +440,5 @@ def _read_sector_map(lines, tickers) -> SectorMap:
     if missing:
         raise UnmappedTicker(missing)
     restricted = {t: mapping[t] for t in tickers}
-    sizes: dict[str, int] = {}
-    for label in restricted.values():
-        sizes[label] = sizes.get(label, 0) + 1
-    return SectorMap(
-        assignment=restricted,
-        sectors=tuple(sorted(sizes)),
-        sizes=sizes,
-    )
+    sectors = tuple(sorted(set(restricted.values())))
+    return SectorMap(assignment=restricted, sectors=sectors)

@@ -158,9 +158,12 @@ def two_step_matrix(seq, k: int | None = None) -> np.ndarray:
     return probs
 
 
-def _max_row_tv(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
-    tv = 0.5 * np.abs(a - b).sum(axis=1)
-    return float(tv.max()), tv
+def _two_step_tv(states: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row total-variation distance between the lag-2 matrix T2 and
+    P^2, and the fitted one-step matrix P."""
+    p = transition_matrix(states, k=k).probs
+    t2 = two_step_matrix(states, k=k)
+    return 0.5 * np.abs(t2 - p @ p).sum(axis=1), p
 
 
 def sample_chain_block(
@@ -210,20 +213,15 @@ def markovianity_check(
     if policy.n_boot < 1:
         raise ParameterRange(f"n_boot must be >= 1, got {policy.n_boot}")
 
-    t = transition_matrix(states, k=k)
-    t2 = two_step_matrix(states, k=k)
-    statistic, row_tv = _max_row_tv(t2, t.probs @ t.probs)
+    row_tv, probs = _two_step_tv(states, k)
+    statistic = float(row_tv.max())
 
     rng = np.random.default_rng(policy.seed)
     freq = np.bincount(states - 1, minlength=k) / states.size
     starts = rng.choice(k, size=policy.n_boot, p=freq) + 1
-    block = sample_chain_block(t.probs, states.size, starts, rng)
+    block = sample_chain_block(probs, states.size, starts, rng)
 
-    boot = np.empty(policy.n_boot)
-    for b in range(policy.n_boot):
-        tb = transition_matrix(block[b], k=k)
-        t2b = two_step_matrix(block[b], k=k)
-        boot[b], _ = _max_row_tv(t2b, tb.probs @ tb.probs)
+    boot = np.array([_two_step_tv(chain, k)[0].max() for chain in block])
     threshold = float(np.quantile(boot, policy.quantile))
 
     return MarkovianityReport(

@@ -61,14 +61,8 @@ class DistanceMatrix:
             raise ValidationError("distance diagonal must be zero")
 
     def full(self) -> np.ndarray:
-        """The symmetric square, filled row by row from packed storage."""
-        n = self.n
-        full = np.empty((n, n))
-        for i, start in enumerate(packed.diagonal_positions(n)):
-            row = self.d[start : start + n - i]
-            full[i, i:] = row
-            full[i:, i] = row
-        return full
+        """The symmetric square, unpacked from packed storage."""
+        return packed.unpack(self.d, self.n)
 
 
 @dataclass(frozen=True)
@@ -98,13 +92,13 @@ class Embedding:
         return lam / self.positive_mass if self.positive_mass > 0 else 0.0
 
 
-def distance_matrix(matrices, threads: int | None = None) -> DistanceMatrix:
+def distance_matrix(matrices, threads: int = 1) -> DistanceMatrix:
     """All pairwise L1 distances between the rows of a MatrixStack (or a
     matrix list, stacked once), computed into packed storage.
 
     Rows go in tiles of ``TILE_ROWS``; a tile's pairs among its own rows
     and with every later row are written at their packed offsets. With
-    ``threads`` > 1 the tiles run on that many worker threads; None runs
+    ``threads`` > 1 the tiles run on that many worker threads; 1 runs
     them serially. The result does not depend on either.
     """
     stack = MatrixStack.of(matrices)
@@ -148,12 +142,11 @@ def classical_mds(
     dim: int,
     states: np.ndarray | None = None,
     epoch_ends: tuple[date, ...] | None = None,
-    dense_cutoff: int = DENSE_CUTOFF,
 ) -> Embedding:
     """Torgerson scaling: eigendecompose B = -1/2 J D^2 J and scale the
     top eigenvectors by sqrt(eigenvalue).
 
-    Below ``dense_cutoff`` points the full spectrum is computed, so the
+    Below ``DENSE_CUTOFF`` points the full spectrum is computed, so the
     captured fraction is exact. Above it only the top ``dim`` eigenpairs
     are solved iteratively and the positive mass is estimated from
     trace(B), which undercounts it; the reported fraction is then an
@@ -167,7 +160,7 @@ def classical_mds(
         raise ParameterRange(f"dim={dim} exceeds n-1={n - 1}")
     b = _double_center(d.full())
 
-    if n < dense_cutoff:
+    if n < DENSE_CUTOFF:
         vals, vecs = np.linalg.eigh(b)
         order = np.argsort(vals, kind="stable")[::-1]
         vals, vecs = vals[order], vecs[:, order]
@@ -209,29 +202,14 @@ def classical_mds(
     )
 
 
-def _check_axis(e: Embedding, axis: int):
-    if not 1 <= axis <= e.dim:
-        raise ParameterRange(f"axis {axis} out of range 1..{e.dim}")
-
-
-def project_2d(e: Embedding, axis_a: int = 1, axis_b: int = 2):
-    """Planar view: (x, y, state, epoch_end) per point, axes 1-based."""
-    _check_axis(e, axis_a)
-    _check_axis(e, axis_b)
-    if axis_a == axis_b:
-        raise ParameterRange("projection axes must be distinct")
-    states = e.states if e.states is not None else np.zeros(e.n, dtype=np.int64)
-    ends = e.epoch_ends if e.epoch_ends is not None else (None,) * e.n
-    x = e.coords[:, axis_a - 1]
-    y = e.coords[:, axis_b - 1]
-    return [
-        (float(x[i]), float(y[i]), int(states[i]), ends[i]) for i in range(e.n)
-    ]
+def _states(e: Embedding) -> np.ndarray:
+    """The points' states; 0 for each when the embedding carries none."""
+    return e.states if e.states is not None else np.zeros(e.n, dtype=np.int64)
 
 
 def embedding_table(e: Embedding) -> str:
     """CSV export ``epoch_end,state,x,y,z``; missing axes are zero."""
-    states = e.states if e.states is not None else np.zeros(e.n, dtype=np.int64)
+    states = _states(e)
     ends = e.epoch_ends if e.epoch_ends is not None else (None,) * e.n
     xyz = np.zeros((e.n, 3))
     take = min(3, e.dim)
@@ -251,11 +229,10 @@ def embedding_svg(e: Embedding) -> str:
     """Standalone 640x480 scatter SVG of axes 1 and 2, one circle per
     point, colored by state from a fixed 8-color palette; axis labels
     carry each axis's share of positive eigenvalue mass."""
-    points = project_2d(e)
+    if e.dim < 2:
+        raise ParameterRange(f"axis 2 out of range 1..{e.dim}")
     width, height = 640, 480
     margin = 48.0
-    xs = np.array([p[0] for p in points])
-    ys = np.array([p[1] for p in points])
 
     def scale(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
         span = v.max() - v.min()
@@ -263,9 +240,9 @@ def embedding_svg(e: Embedding) -> str:
             return np.full(v.shape, (lo + hi) / 2.0)
         return lo + (v - v.min()) / span * (hi - lo)
 
-    px = scale(xs, margin, width - margin)
+    px = scale(e.coords[:, 0], margin, width - margin)
     # svg y axis points down
-    py = scale(ys, height - margin, margin)
+    py = scale(e.coords[:, 1], height - margin, margin)
 
     label_a = f"axis 1 ({100 * e.axis_fraction(1):.1f}% of positive mass)"
     label_b = f"axis 2 ({100 * e.axis_fraction(2):.1f}% of positive mass)"
@@ -279,7 +256,7 @@ def embedding_svg(e: Embedding) -> str:
         f'font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 16 {height / 2:.1f})">{label_b}</text>',
     ]
-    for i, (_, _, state, _) in enumerate(points):
+    for i, state in enumerate(map(int, _states(e))):
         color = PALETTE[(state - 1) % len(PALETTE)] if state >= 1 else PALETTE[-1]
         parts.append(
             f'<circle cx="{px[i]:.2f}" cy="{py[i]:.2f}" r="3" '

@@ -2,8 +2,8 @@
 
 Every symmetric matrix in this package is stored as its upper triangle,
 diagonal included, flattened row-major: entry (i, j) with i <= j lives at
-``i*n - i*(i-1)//2 + (j - i)``. A matrix of dimension n packs into
-``n*(n+1)//2`` float64 values.
+``i*n - i*(i-1)//2 + (j - i)``: :func:`diagonal_positions` plus ``j - i``.
+A matrix of dimension n packs into ``n*(n+1)//2`` float64 values.
 """
 
 from __future__ import annotations
@@ -54,11 +54,13 @@ def pack(square: np.ndarray) -> np.ndarray:
 
 
 def unpack(packed: np.ndarray, dim: int) -> np.ndarray:
-    """Expand a packed vector back to the full symmetric matrix."""
+    """Expand a packed vector back to the full symmetric matrix, row by
+    row from slices, so no per-dim index arrays are built or cached."""
     packed = np.asarray(packed, dtype=np.float64)
-    rows, cols = upper_indices(dim)
     full = np.empty((dim, dim), dtype=np.float64)
-    full[rows, cols] = packed
-    full[cols, rows] = packed
+    for i, start in enumerate(diagonal_positions(dim)):
+        row = packed[start : start + dim - i]
+        full[i, i:] = row
+        full[i:, i] = row
     return full
 

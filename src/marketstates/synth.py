@@ -86,12 +86,8 @@ class RegimeSpec:
 
     def sector_map(self) -> SectorMap:
         labels = self.sector_labels()
-        assignment = {}
-        for s in range(self.n_sectors):
-            for m in range(self.sector_sizes[s]):
-                assignment[f"S{s:02d}N{m:02d}"] = labels[s]
-        sizes = {labels[s]: self.sector_sizes[s] for s in range(self.n_sectors)}
-        return SectorMap(assignment=assignment, sectors=labels, sizes=sizes)
+        owners = [labels[s] for s, n in enumerate(self.sector_sizes) for _ in range(n)]
+        return SectorMap(assignment=dict(zip(self.tickers(), owners)), sectors=labels)
 
 
 def generate_block_market(
@@ -163,14 +159,8 @@ def generate_markov_sequence(probs, length: int, seed: int) -> StateSequence:
     k = p.shape[0]
     if length < 1:
         raise ParameterRange(f"length must be >= 1, got {length}")
-    t = (
-        probs
-        if isinstance(probs, TransitionMatrix)
-        else TransitionMatrix(
-            k=k, counts=np.zeros((k, k), dtype=np.int64), probs=p, n_transitions=0
-        )
-    )
-    eq = equilibrium_distribution(t)
+    zeros = np.zeros((k, k), dtype=np.int64)
+    eq = equilibrium_distribution(TransitionMatrix(k, zeros, p, n_transitions=0))
 
     rng = np.random.default_rng(seed)
     start = rng.choice(k, p=eq.pi) + 1

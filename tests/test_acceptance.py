@@ -70,11 +70,7 @@ def _random_corr(rng, n, index=0):
 
 def _sector_map(tickers, labels):
     sectors = tuple(sorted(set(labels)))
-    return SectorMap(
-        assignment=dict(zip(tickers, labels)),
-        sectors=sectors,
-        sizes={s: list(labels).count(s) for s in sectors},
-    )
+    return SectorMap(assignment=dict(zip(tickers, labels)), sectors=sectors)
 
 
 def _block_average_oracle(full, idx, n_s):

@@ -310,6 +310,7 @@ def test_transitions_bad_k_or_damping_fail_before_loading(
         (["--k", 1], "k >= 2"),
         (["--k", 2, "--damping", 1.0], "damping"),
         (["--k", 2, "--damping", -0.1], "damping"),
+        (["--k", 2, "--stride", 0], "stride must be >= 1"),
     ):
         rc = _run([
             "transitions", "--prices", market / "prices.csv", "--out", tmp_path,
@@ -358,6 +359,58 @@ def test_bad_ranges_fail_before_loading(
     err = capsys.readouterr().err
     assert "ParameterRange" in err and word in err
     assert not (tmp_path / "out" / "run_meta.json").exists()
+
+
+@pytest.mark.parametrize("command, extra, error, word", [
+    ("optimize", ["--epsilon-grid", "", "--k-range", "2:3", "--k-min", 2],
+     "ValidationError", "must be nonempty"),
+    ("optimize", ["--epsilon-grid", "0", "--k-range", "", "--k-min", 2],
+     "ValidationError", "must be nonempty"),
+    ("optimize", ["--epsilon-grid", "0", "--k-range", "2:3", "--k-min", 4],
+     "ValidationError", "no k in [2, 3] reaches the admissibility floor 4"),
+    ("states", ["--k", 2, "--max-gap", -1], "ParameterRange", "max_gap must be >= 0"),
+    ("optimize", ["--epsilon-grid", "0", "--k-range", "2:3", "--k-min", 2,
+                  "--max-gap", -2], "ParameterRange", "max_gap must be >= 0"),
+])
+def test_grid_and_gap_values_fail_before_loading(
+    command, extra, error, word, tmp_path, monkeypatch, capsys
+):
+    """Grid and gap options are checked before the price file is looked
+    at, so a missing file does not mask them."""
+    def unreachable(path):
+        raise AssertionError("the price table was read")
+
+    monkeypatch.setattr(cli, "load_price_table", unreachable)
+    rc = _run([
+        command, "--prices", tmp_path / "missing.csv", "--out", tmp_path / "out", *extra,
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error[{error}]" in err and word in err
+    assert not (tmp_path / "out" / "run_meta.json").exists()
+
+
+@pytest.mark.parametrize("bad", ["prices", "sectors", "config"])
+def test_non_utf8_input_exits_one_with_typed_error(market, tmp_path, capsys, bad):
+    files = {}
+    for name in ("prices", "sectors"):
+        data = (market / f"{name}.csv").read_bytes()
+        if name == bad:
+            # past the first line, so the header still reads
+            data = data[:-40] + b"\xff" + data[-40:]
+        files[name] = tmp_path / f"{name}.csv"
+        files[name].write_bytes(data)
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"k=2\nn_init=2\n" + (b"# \xff\n" if bad == "config" else b""))
+    out = tmp_path / "out"
+    rc = _run([
+        "states", "--prices", files["prices"], "--sectors", files["sectors"],
+        "--pipeline", "guhr", "--config", config, "--out", out,
+    ])
+    assert rc == 1
+    error = "ValidationError" if bad == "config" else "ParseError"
+    assert f"error[{error}]: " in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_transitions_large_stride_fails_before_clustering(

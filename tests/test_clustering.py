@@ -345,7 +345,7 @@ def test_sigma_tie_broken_by_lowest_subseed():
 
 def test_sigma_thread_count_does_not_change_results():
     pts = np.random.default_rng(11).normal(size=(50, 8))
-    serial = sigma_intra(pts, k=3, n_init=8, seed=2, threads=None)
+    serial = sigma_intra(pts, k=3, n_init=8, seed=2, threads=1)
     parallel = sigma_intra(pts, k=3, n_init=8, seed=2, threads=4)
     assert serial.d_intras == parallel.d_intras
     assert serial.best.seed == parallel.best.seed
@@ -367,8 +367,10 @@ def test_thread_count_below_one_rejected():
         with pytest.raises(ParameterRange, match="threads"):
             optimize_states(rt, EpochSpec(20, 1), None, [0.0], [2], 2, 4, 0, threads=bad)
     assert sigma_intra(pts, k=2, n_init=2, seed=0, threads=1).d_intras == (
-        sigma_intra(pts, k=2, n_init=2, seed=0, threads=None).d_intras
+        sigma_intra(pts, k=2, n_init=2, seed=0).d_intras
     )
+    with pytest.raises(TypeError):
+        sigma_intra(pts, k=2, n_init=2, seed=0, threads=None)
 
 
 def _manual_clustering(assignments, k):
@@ -429,8 +431,7 @@ def test_order_states_means_equal_per_matrix_average_correlation(with_sectors):
     sectors = None
     if with_sectors:
         labels = dict(zip(rt.tickers, ("s1", "s1", "s2", "s2", "s3", "s3")))
-        sectors = SectorMap(assignment=labels, sectors=("s1", "s2", "s3"),
-                            sizes={"s1": 2, "s2": 2, "s3": 2})
+        sectors = SectorMap(assignment=labels, sectors=("s1", "s2", "s3"))
     stack = pipeline_matrices(rt, spec, 0.3, sectors)
     c = kmeans(stack, k=3, seed=2)
     seq = order_states(c, stack)
@@ -459,8 +460,7 @@ def test_order_states_length_mismatch():
 
 def _two_sector_map(tickers) -> SectorMap:
     labels = {t: ("s1", "s2")[i % 2] for i, t in enumerate(tickers)}
-    sizes = {s: list(labels.values()).count(s) for s in ("s1", "s2")}
-    return SectorMap(assignment=labels, sectors=("s1", "s2"), sizes=sizes)
+    return SectorMap(assignment=labels, sectors=("s1", "s2"))
 
 
 def test_optimize_grid_shape_and_eps_zero_column():

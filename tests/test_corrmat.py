@@ -93,10 +93,7 @@ def _corr_from_square(square: np.ndarray, tickers=None) -> CorrMatrix:
 
 
 def _sector_map(labels: dict[str, str]) -> SectorMap:
-    sizes: dict[str, int] = {}
-    for lab in labels.values():
-        sizes[lab] = sizes.get(lab, 0) + 1
-    return SectorMap(assignment=labels, sectors=tuple(sorted(sizes)), sizes=sizes)
+    return SectorMap(assignment=labels, sectors=tuple(sorted(set(labels.values()))))
 
 
 def test_epoch_correlation_matches_two_pass_oracle():
@@ -399,6 +396,29 @@ def test_average_correlation_matches_brute_force():
     want = np.mean([square[i, j] for i in range(5) for j in range(i + 1, 5)])
     got = average_correlation(_corr_from_square(square))
     assert got == pytest.approx(want, abs=1e-14)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    rows=st.integers(20, 40),
+    epsilon=st.sampled_from([0.0, 0.3, 1.0]),
+    sectors=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_average_correlation_of_stack_is_per_matrix_bits(n, rows, epsilon, sectors, seed):
+    rng = np.random.default_rng(seed)
+    rt = _return_table(rng.normal(0, 0.02, size=(rows, n)))
+    sm = None
+    if sectors:
+        sm = _sector_map({t: ("a", "b")[i % 2] for i, t in enumerate(rt.tickers)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SingletonSectorWarning)
+        stack = pipeline_matrices(rt, EpochSpec(20, 1), epsilon, sm)
+    got = average_correlation(stack)
+    want = np.array([average_correlation(m) for m in stack])
+    assert got.shape == (len(stack),)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_pipeline_order_soft_property():

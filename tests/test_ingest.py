@@ -24,6 +24,7 @@ from marketstates.errors import (
 )
 from marketstates.ingest import (
     PriceTable,
+    SectorMap,
     filter_stocks,
     load_price_table,
     load_sector_map,
@@ -32,6 +33,7 @@ from marketstates.ingest import (
     parse_sector_map,
     price_table_csv,
 )
+from marketstates.synth import RegimeSpec
 
 BASIC = """date,A,B
 2020-01-01,10,20
@@ -317,6 +319,47 @@ def test_sector_map_duplicate_row():
 def test_sector_map_needs_two_sectors():
     with pytest.raises(ValidationError):
         parse_sector_map("A,tech\nB,tech\n", ["A", "B"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(labels=st.lists(st.sampled_from(["w", "x", "y", "z"]), min_size=2, max_size=30),
+       sector_sizes=st.lists(st.integers(1, 6), min_size=1, max_size=5))
+def test_sector_map_sizes_are_member_counts(labels, sector_sizes):
+    tickers = [f"T{i:02d}" for i in range(len(labels))]
+    text = "".join(f"{t},{s}\n" for t, s in zip(tickers, labels))
+    if len(set(labels)) >= 2:
+        sm = parse_sector_map(text, tickers)
+        assert sm.sizes == {s: labels.count(s) for s in sorted(set(labels))}
+        assert tuple(sm.sizes) == sm.sectors
+    spec = RegimeSpec(sector_sizes=tuple(sector_sizes), intra=(0.5,), inter=(0.1,),
+                      durations=(20,))
+    if len(sector_sizes) >= 2:
+        sm = spec.sector_map()
+        assert sm.sizes == dict(zip(spec.sector_labels(), sector_sizes))
+
+
+def test_sector_map_rejects_labels_outside_sectors():
+    with pytest.raises(ValidationError, match=r"\['x'\] are not sectors"):
+        SectorMap({"A": "x", "B": "y"}, ("y", "z"))
+    with pytest.raises(ValidationError, match="at least one member"):
+        SectorMap({"A": "y", "B": "y"}, ("y", "z"))
+    assert SectorMap({"A": "y", "B": "z"}, ("y", "z")).sizes == {"y": 1, "z": 1}
+
+
+@pytest.mark.parametrize("at", [0.0, 0.5, 1.0])
+def test_non_utf8_files_raise_parse_error(tmp_path, at):
+    # 2,000 rows, so a late byte is past the first chunk the reader decodes
+    days = (date(2021, 1, 1) + timedelta(days=i) for i in range(2000))
+    body = BASIC.encode() + "".join(f"{d},1.5,2.5\n" for d in days).encode()
+    cut = min(int(at * len(body)), len(body) - 1)
+    prices = tmp_path / "prices.csv"
+    prices.write_bytes(body[:cut] + b"\xff" + body[cut:])
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_price_table(prices)
+    sectors = tmp_path / "sectors.csv"
+    sectors.write_bytes(b"A,tech\nB,en\xffergy\n")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_sector_map(sectors, ["A", "B"])
 
 
 # Reference implementations: the per-cell parse and render and the

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, squareform
 
-from marketstates import packed
+from marketstates import mds, packed
 from marketstates.clustering import kmeans, order_states
 from marketstates.corrmat import CorrMatrix, EpochSpec, GuhrMatrix, MatrixStack
 from marketstates.errors import (
@@ -25,7 +25,6 @@ from marketstates.mds import (
     distance_matrix,
     embedding_svg,
     embedding_table,
-    project_2d,
 )
 from marketstates.synth import RegimeSpec, generate_block_market
 import marketstates as ms
@@ -125,7 +124,7 @@ def _rough_values(rng, shape) -> np.ndarray:
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.sampled_from([2, 3, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 2 * TILE_ROWS + 5]),
-    threads=st.sampled_from([None, 1, 2, 3]),
+    threads=st.sampled_from([1, 2, 3]),
     dim=st.sampled_from([2, 3, 8]),
     seed=st.integers(0, 2**32 - 1),
     repeats=st.booleans(),
@@ -142,13 +141,25 @@ def test_tiled_distances_equal_pdist_bits(n, threads, dim, seed, repeats):
     assert got.d.tobytes() == want.tobytes()
 
 
-@settings(max_examples=40, deadline=None)
+def _unpack_reference(d: np.ndarray, n: int) -> np.ndarray:
+    """The fancy-index unpack the row-slice kernel must match."""
+    rows, cols = np.triu_indices(n)
+    full = np.empty((n, n))
+    full[rows, cols] = d
+    full[cols, rows] = d
+    return full
+
+
+@settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
 def test_full_equals_unpack(n, seed):
     d = np.abs(_rough_values(np.random.default_rng(seed), packed.packed_length(n)))
+    want = _unpack_reference(d, n).tobytes()
+    assert packed.unpack(d, n).tobytes() == want
     d[packed.diagonal_positions(n)] = 0.0
-    full = DistanceMatrix(n=n, d=d).full()
-    assert full.tobytes() == packed.unpack(d, n).tobytes()
+    want = _unpack_reference(d, n).tobytes()
+    assert DistanceMatrix(n=n, d=d).full().tobytes() == want
+    assert packed.unpack(d, n).tobytes() == want
 
 
 def _double_center_reference(d_full: np.ndarray) -> np.ndarray:
@@ -264,12 +275,13 @@ def test_dim_validation():
         classical_mds(dm, dim=6)
 
 
-def test_iterative_path_matches_dense():
+def test_iterative_path_matches_dense(monkeypatch):
     rng = np.random.default_rng(6)
     pts = rng.normal(size=(60, 4))
     dm = _euclidean_dm(pts)
     dense = classical_mds(dm, dim=3)
-    iterative = classical_mds(dm, dim=3, dense_cutoff=10)
+    monkeypatch.setattr(mds, "DENSE_CUTOFF", 10)
+    iterative = classical_mds(dm, dim=3)
     np.testing.assert_allclose(iterative.coords, dense.coords, atol=1e-7)
     np.testing.assert_allclose(
         np.array(iterative.eigenvalues), np.array(dense.eigenvalues), rtol=1e-9
@@ -277,25 +289,6 @@ def test_iterative_path_matches_dense():
     # iterative positive mass is a trace-based upper bound
     assert iterative.positive_mass >= dense.positive_mass - 1e-9
     assert iterative.captured <= 1.0
-
-
-def test_project_2d_axis_selection():
-    rng = np.random.default_rng(7)
-    pts = rng.normal(size=(20, 3))
-    states = rng.integers(1, 4, size=20)
-    e = classical_mds(_euclidean_dm(pts), dim=3, states=states)
-    default = project_2d(e)
-    assert [p[0] for p in default] == list(e.coords[:, 0])
-    assert [p[1] for p in default] == list(e.coords[:, 1])
-    assert [p[2] for p in default] == list(states)
-    skip = project_2d(e, 1, 3)
-    assert [p[1] for p in skip] == list(e.coords[:, 2])
-    with pytest.raises(ParameterRange):
-        project_2d(e, 0, 2)
-    with pytest.raises(ParameterRange):
-        project_2d(e, 1, 4)
-    with pytest.raises(ParameterRange):
-        project_2d(e, 2, 2)
 
 
 def test_planted_regimes_separate_in_2d():
@@ -365,3 +358,5 @@ def test_embedding_svg_contents():
     assert embedding_svg(e) == svg
     frac = e.axis_fraction(1)
     assert f"{100 * frac:.1f}%" in svg
+    with pytest.raises(ParameterRange, match="axis 2 out of range 1..1"):
+        embedding_svg(classical_mds(_euclidean_dm(pts), dim=1))
