@@ -361,13 +361,16 @@ def filter_stocks(table: PriceTable, max_gap: int) -> FilterResult:
             f"no tickers survive max_gap={max_gap}; dropped {len(dropped)}"
         )
 
-    source = last[:, keep]
+    # each missing cell of a kept ticker takes the price of the latest row
+    # before it that has one; a leading gap takes the ticker's first price
+    prices = table.prices[:, keep]
+    t, j = np.nonzero(nan[:, keep])
+    source = last[t, keep[j]]
     leading = source < 0
+    source[leading] = np.argmax(~nan, axis=0)[keep[j[leading]]]
+    prices[t, j] = prices[source, j]
     back_filled = int(leading.sum())
-    forward_filled = int(nan[:, keep].sum()) - back_filled
-    # a leading gap takes the first price: the first row where source >= 0
-    source = np.where(leading, np.argmax(~leading, axis=0), source)
-    prices = np.take_along_axis(table.prices[:, keep], source, axis=0)
+    forward_filled = t.size - back_filled
 
     filtered = PriceTable(
         dates=table.dates,
