@@ -148,59 +148,6 @@ _DATA_COMMON = {
     "threads": os.cpu_count() or 1,
 }
 
-_COMMANDS: dict[str, dict] = {
-    "states": {**_DATA_COMMON, "epsilon": 0.0, "k": _REQUIRED},
-    "optimize": {
-        **_DATA_COMMON,
-        "epsilon_grid": _REQUIRED,
-        "k_range": _REQUIRED,
-        "k_min": _REQUIRED,
-    },
-    "transitions": {
-        **_DATA_COMMON,
-        "epsilon": 0.0,
-        "k": _REQUIRED,
-        "stride": 1,
-        "damping": 0.0,
-    },
-    "mds": {**_DATA_COMMON, "epsilon": 0.0, "k": _REQUIRED},
-    "synth": {
-        "out": _REQUIRED,
-        "config": None,
-        "seed": 0,
-        "epoch": 20,
-        "sector_sizes": [10, 10, 10, 10, 10, 10],
-        "intra": [0.3, 0.6, 0.9],
-        "inter": [0.1, 0.2, 0.3],
-        "durations": [500, 500, 500],
-        "noise": 0.02,
-    },
-}
-
-_COMMAND_HELP = {
-    "states": "fixed (k, epsilon) state sequence from a price table",
-    "optimize": "sigma_intra scan over the (k, epsilon) grid",
-    "transitions": "state sequence plus transition matrix, equilibrium, Markov checks",
-    "mds": "3D classical scaling of the epoch matrices",
-    "synth": "generate a planted block market",
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="marketstates",
-        description="Market-state pipeline: rolling correlations, coarse "
-        "graining, clustering, transitions, scaling.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, options in _COMMANDS.items():
-        sp = sub.add_parser(name, help=_COMMAND_HELP[name])
-        for dest in options:
-            flag = "--" + dest.replace("_", "-")
-            sp.add_argument(flag, dest=dest, default=None, help=_OPTION_DEFS[dest][1])
-    return parser
-
-
 def _convert(key: str, raw, source: str):
     conv = _OPTION_DEFS[key][0]
     try:
@@ -231,7 +178,7 @@ def _read_config_file(path: str) -> list[tuple[str, str]]:
 
 
 def merge_config(command: str, args: argparse.Namespace) -> SimpleNamespace:
-    spec = _COMMANDS[command]
+    _, _, spec = _COMMANDS[command]
     values = dict(spec)
     config_path = getattr(args, "config", None)
     if config_path is not None:
@@ -398,13 +345,70 @@ def cmd_synth(cfg, out_dir: Path):
     _write(out_dir, "sectors.csv", "\n".join(lines) + "\n")
 
 
-_DISPATCH = {
-    "states": cmd_states,
-    "optimize": cmd_optimize,
-    "transitions": cmd_transitions,
-    "mds": cmd_mds,
-    "synth": cmd_synth,
+# subcommand -> (handler, help, option defaults)
+_COMMANDS: dict[str, tuple] = {
+    "states": (
+        cmd_states,
+        "fixed (k, epsilon) state sequence from a price table",
+        {**_DATA_COMMON, "epsilon": 0.0, "k": _REQUIRED},
+    ),
+    "optimize": (
+        cmd_optimize,
+        "sigma_intra scan over the (k, epsilon) grid",
+        {
+            **_DATA_COMMON,
+            "epsilon_grid": _REQUIRED,
+            "k_range": _REQUIRED,
+            "k_min": _REQUIRED,
+        },
+    ),
+    "transitions": (
+        cmd_transitions,
+        "state sequence plus transition matrix, equilibrium, Markov checks",
+        {
+            **_DATA_COMMON,
+            "epsilon": 0.0,
+            "k": _REQUIRED,
+            "stride": 1,
+            "damping": 0.0,
+        },
+    ),
+    "mds": (
+        cmd_mds,
+        "3D classical scaling of the epoch matrices",
+        {**_DATA_COMMON, "epsilon": 0.0, "k": _REQUIRED},
+    ),
+    "synth": (
+        cmd_synth,
+        "generate a planted block market",
+        {
+            "out": _REQUIRED,
+            "config": None,
+            "seed": 0,
+            "epoch": 20,
+            "sector_sizes": [10, 10, 10, 10, 10, 10],
+            "intra": [0.3, 0.6, 0.9],
+            "inter": [0.1, 0.2, 0.3],
+            "durations": [500, 500, 500],
+            "noise": 0.02,
+        },
+    ),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="marketstates",
+        description="Market-state pipeline: rolling correlations, coarse "
+        "graining, clustering, transitions, scaling.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, options) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for dest in options:
+            flag = "--" + dest.replace("_", "-")
+            sp.add_argument(flag, dest=dest, default=None, help=_OPTION_DEFS[dest][1])
+    return parser
 
 
 def _write_run_meta(cfg, out_dir: Path, command: str, started: str, elapsed: float):
@@ -440,7 +444,8 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         started = datetime.now(timezone.utc).isoformat()
         t0 = time.perf_counter()
-        _DISPATCH[args.command](cfg, out_dir)
+        run, _, _ = _COMMANDS[args.command]
+        run(cfg, out_dir)
         _write_run_meta(cfg, out_dir, args.command, started, time.perf_counter() - t0)
     except ComputationError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)

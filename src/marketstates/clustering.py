@@ -26,7 +26,6 @@ import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from datetime import date
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -48,6 +47,7 @@ from .errors import (
     ValidationError,
 )
 from .ingest import ReturnTable, SectorMap
+from .markov import StateSequence
 from .rng import subseed
 
 _METRICS = ("l1", "l2")
@@ -355,19 +355,6 @@ def optimize_states(
         n_init=n_init,
         seed=seed,
     )
-
-
-@dataclass(frozen=True)
-class StateSequence:
-    """Epoch states relabeled 1..k by ascending mean average correlation."""
-
-    states: np.ndarray
-    k: int
-    epoch_ends: tuple[date, ...] | None = None
-    state_means: tuple[float, ...] | None = None
-
-    def __len__(self) -> int:
-        return int(self.states.shape[0])
 
 
 def order_states(c: Clustering, matrices) -> StateSequence:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from datetime import date
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +32,19 @@ class EquilibriumVector:
     pi: np.ndarray
     steps: int
     damping: float = 0.0
+
+
+@dataclass(frozen=True)
+class StateSequence:
+    """Epoch states relabeled 1..k by ascending mean average correlation."""
+
+    states: np.ndarray
+    k: int
+    epoch_ends: tuple[date, ...] | None = None
+    state_means: tuple[float, ...] | None = None
+
+    def __len__(self) -> int:
+        return int(self.states.shape[0])
 
 
 def _state_array(seq, k: int | None) -> tuple[np.ndarray, int]:

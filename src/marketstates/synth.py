@@ -16,10 +16,14 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .clustering import StateSequence
 from .errors import InvalidRegime, ParameterRange, ValidationError
 from .ingest import PriceTable, SectorMap
-from .markov import TransitionMatrix, equilibrium_distribution, sample_chain_block
+from .markov import (
+    StateSequence,
+    TransitionMatrix,
+    equilibrium_distribution,
+    sample_chain_block,
+)
 
 START_DATE = date(2000, 1, 3)
 START_PRICE = 100.0

@@ -56,23 +56,30 @@ def two_pass_correlation(window: np.ndarray) -> np.ndarray:
     return corr
 
 
-def block_average_oracle(c: np.ndarray, sector_idx: np.ndarray, n_s: int) -> np.ndarray:
-    """Exhaustive double loop over all (alpha, beta) pairs per block."""
+def block_average_oracle(c: np.ndarray, sector_idx: np.ndarray, n_s: int):
+    """Exhaustive double loop over all (alpha, beta) pairs per block, each
+    block summed exactly by ``math.fsum`` before its one division.
+
+    Returns the block means, the number m of distinct pairs per block (the
+    terms a packed kernel sums) and the largest |entry| per block.
+    """
     g = np.empty((n_s, n_s))
+    m = np.zeros((n_s, n_s), dtype=np.int64)
+    peak = np.zeros((n_s, n_s))
     for si in range(n_s):
         for sj in range(n_s):
             members_i = np.flatnonzero(sector_idx == si)
             members_j = np.flatnonzero(sector_idx == sj)
-            total = 0.0
-            count = 0
-            for a in members_i:
-                for b in members_j:
-                    if si == sj and a == b:
-                        continue
-                    total += c[a, b]
-                    count += 1
-            g[si, sj] = total / count if count else 1.0
-    return g
+            terms = [
+                c[a, b]
+                for a in members_i
+                for b in members_j
+                if not (si == sj and a == b)
+            ]
+            g[si, sj] = math.fsum(terms) / len(terms) if terms else 1.0
+            m[si, sj] = len(terms) // 2 if si == sj else len(terms)
+            peak[si, sj] = max(map(abs, terms), default=0.0)
+    return g, m, peak
 
 
 def _return_table(returns: np.ndarray, tickers=None) -> ReturnTable:
@@ -276,6 +283,7 @@ def _coarse_grain_cases(draw):
 @settings(deadline=None)
 @given(case=_coarse_grain_cases())
 @example(case=([0, 1, 1, 0, 2, 1], True, np.linspace(-1, 1, 21)))
+@example(case=([0] * 39 + [1], False, np.full(820, 0.7)))  # one 741-pair block
 def test_coarse_grain_matches_double_loop_oracle(case):
     labels, memberless, values = case
     tickers = tuple(f"t{i}" for i in range(len(labels)))
@@ -291,8 +299,12 @@ def test_coarse_grain_matches_double_loop_oracle(case):
         got = coarse_grain(c, sm).full()
     warned = any(issubclass(w.category, SingletonSectorWarning) for w in caught)
     assert warned == bool((sizes < 2).any())
-    want = block_average_oracle(c.full(), idx, sm.n_sectors)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    want, m, peak = block_average_oracle(c.full(), idx, sm.n_sectors)
+    # summing m terms in sequence errs by at most (m - 1) u max|x| on the
+    # mean; the kernel's division and the oracle's rounded sum and division
+    # add u max|x| each
+    bound = (m + 2) * 2.0**-53 * peak
+    assert (np.abs(got - want) <= bound).all(), np.abs(got - want) - bound
 
 
 def test_coarse_grain_singleton_sector_warns():
