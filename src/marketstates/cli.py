@@ -25,6 +25,7 @@ from types import SimpleNamespace
 from . import __version__
 from .clustering import (
     check_grid,
+    check_k,
     check_n_init,
     check_threads,
     grid_csv,
@@ -58,6 +59,7 @@ from .markov import (
     transitions_json,
 )
 from .mds import classical_mds, distance_matrix, embedding_svg, embedding_table
+from .rng import check_seed
 from .synth import RegimeSpec, generate_block_market, regime_truth_csv
 
 
@@ -148,6 +150,10 @@ _DATA_COMMON = {
     "threads": os.cpu_count() or 1,
 }
 
+# states, transitions and mds: one (k, epsilon) state sequence
+_STATE_OPTIONS = {**_DATA_COMMON, "epsilon": 0.0, "k": _REQUIRED}
+
+
 def _convert(key: str, raw, source: str):
     conv = _OPTION_DEFS[key][0]
     try:
@@ -216,14 +222,14 @@ def _check_ranges(cfg) -> EpochSpec:
         if cfg.k < 2:
             raise ParameterRange(f"transitions need k >= 2 for tridiagonality, got {cfg.k}")
         check_damping(cfg.damping)
-    if hasattr(cfg, "k") and cfg.k < 1:
-        raise ParameterRange(f"k must be >= 1, got {cfg.k}")
     check_n_init(cfg.n_init)
     check_threads(cfg.threads)
+    check_seed(cfg.seed)
     check_max_gap(cfg.max_gap)
     if hasattr(cfg, "epsilon_grid"):
         check_grid(cfg.epsilon_grid, cfg.k_range, cfg.k_min)
     else:
+        check_k(cfg.k)
         check_epsilon(cfg.epsilon)
     return EpochSpec(length=cfg.epoch, shift=cfg.shift)
 
@@ -327,6 +333,7 @@ def cmd_mds(cfg, out_dir: Path):
 
 
 def cmd_synth(cfg, out_dir: Path):
+    check_seed(cfg.seed)
     spec = RegimeSpec(
         sector_sizes=tuple(cfg.sector_sizes),
         intra=tuple(cfg.intra),
@@ -350,7 +357,7 @@ _COMMANDS: dict[str, tuple] = {
     "states": (
         cmd_states,
         "fixed (k, epsilon) state sequence from a price table",
-        {**_DATA_COMMON, "epsilon": 0.0, "k": _REQUIRED},
+        _STATE_OPTIONS,
     ),
     "optimize": (
         cmd_optimize,
@@ -365,18 +372,12 @@ _COMMANDS: dict[str, tuple] = {
     "transitions": (
         cmd_transitions,
         "state sequence plus transition matrix, equilibrium, Markov checks",
-        {
-            **_DATA_COMMON,
-            "epsilon": 0.0,
-            "k": _REQUIRED,
-            "stride": 1,
-            "damping": 0.0,
-        },
+        {**_STATE_OPTIONS, "stride": 1, "damping": 0.0},
     ),
     "mds": (
         cmd_mds,
         "3D classical scaling of the epoch matrices",
-        {**_DATA_COMMON, "epsilon": 0.0, "k": _REQUIRED},
+        _STATE_OPTIONS,
     ),
     "synth": (
         cmd_synth,
@@ -447,15 +448,10 @@ def main(argv=None) -> int:
         run, _, _ = _COMMANDS[args.command]
         run(cfg, out_dir)
         _write_run_meta(cfg, out_dir, args.command, started, time.perf_counter() - t0)
-    except ComputationError as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 2
-    except MarketStatesError as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error[OSError]: {exc}", file=sys.stderr)
-        return 1
+    except (MarketStatesError, OSError) as exc:
+        tag = "OSError" if isinstance(exc, OSError) else type(exc).__name__
+        print(f"error[{tag}]: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ComputationError) else 1
     return 0
 
 

@@ -16,8 +16,9 @@ explicit admissibility floor.
 
 Determinism contract: given (matrices, k, seed, metric) the
 assignment vector is bit-identical across runs, thread counts, and
-schedules. Restarts derive sub-seeds from the base seed by index, so a
-parallel restart pool returns exactly what the serial loop returns.
+schedules. Restarts derive sub-seeds from the base seed by index, so
+their results do not depend on how many workers run them, or in what
+order.
 """
 
 from __future__ import annotations
@@ -48,9 +49,14 @@ from .errors import (
 )
 from .ingest import ReturnTable, SectorMap
 from .markov import StateSequence
-from .rng import subseed
+from .rng import check_seed, subseed
 
-_METRICS = ("l1", "l2")
+# metric -> (cdist kind whose argmin assigns, its map to the true distance);
+# l2 assigns by the squared form, same argmin and cheaper
+_METRICS = {
+    "l1": ("cityblock", lambda v: v),
+    "l2": ("sqeuclidean", np.sqrt),
+}
 MAX_ITER = 300
 
 
@@ -64,6 +70,12 @@ def _packed_rows(matrices) -> np.ndarray:
     return pts
 
 
+def check_k(k: int):
+    """A cluster count must be at least 1."""
+    if k < 1:
+        raise ParameterRange(f"k must be >= 1, got {k}")
+
+
 def check_n_init(n_init: int):
     """σ_intra is a spread over restarts, so it needs at least two."""
     if n_init < 2:
@@ -71,30 +83,22 @@ def check_n_init(n_init: int):
 
 
 def check_threads(threads: int):
-    """A worker count must be at least 1; 1 runs serially."""
+    """A worker count must be at least 1."""
     if threads < 1:
         raise ParameterRange(f"threads must be >= 1, got {threads}")
 
 
+def check_metric(metric: str):
+    """The metric must be a key of ``_METRICS``."""
+    if metric not in _METRICS:
+        raise ParameterRange(f"metric must be one of {tuple(_METRICS)}, got {metric!r}")
+
+
 def thread_map(fn, items, threads: int) -> list:
-    """``[fn(x) for x in items]`` in order, on ``threads`` worker threads
-    when more than one; 1 runs serially."""
+    """``[fn(x) for x in items]`` in order, on ``threads`` worker threads."""
     check_threads(threads)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
-def _point_distances(pts: np.ndarray, centroids: np.ndarray, metric: str) -> np.ndarray:
-    if metric == "l1":
-        return cdist(pts, centroids, "cityblock")
-    # squared form: same argmin, cheaper; sqrt taken where a true distance is needed
-    return cdist(pts, centroids, "sqeuclidean")
-
-
-def _to_distance(values: np.ndarray, metric: str) -> np.ndarray:
-    return values if metric == "l1" else np.sqrt(values)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def _cluster_means(pts: np.ndarray, assign: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -159,12 +163,12 @@ def kmeans(
     """
     pts = _packed_rows(matrices)
     n = pts.shape[0]
-    if k < 1:
-        raise ParameterRange(f"k must be >= 1, got {k}")
+    check_k(k)
     if k > n:
         raise InsufficientData(f"k={k} exceeds {n} matrices")
-    if metric not in _METRICS:
-        raise ParameterRange(f"metric must be one of {_METRICS}, got {metric!r}")
+    check_metric(metric)
+    check_seed(seed)
+    kind, to_distance = _METRICS[metric]
 
     rng = np.random.default_rng(seed)
     centroids = pts[rng.choice(n, size=k, replace=False)].copy()
@@ -175,9 +179,9 @@ def kmeans(
 
     for _ in range(MAX_ITER):
         iterations += 1
-        dist = _point_distances(pts, centroids, metric)
+        dist = cdist(pts, centroids, kind)
         new_assign = dist.argmin(axis=1)
-        own = _to_distance(dist[np.arange(n), new_assign], metric)
+        own = to_distance(dist[np.arange(n), new_assign])
         history.append(float(own.mean()))
 
         sizes = np.bincount(new_assign, minlength=k)
@@ -196,8 +200,8 @@ def kmeans(
         assign = new_assign
         centroids = _cluster_means(pts, assign, sizes)
 
-    final = _point_distances(pts, centroids, metric)
-    d_intra = float(_to_distance(final[np.arange(n), assign], metric).mean())
+    final = cdist(pts, centroids, kind)
+    d_intra = float(to_distance(final[np.arange(n), assign]).mean())
     return Clustering(
         k=k,
         assignments=assign,
@@ -284,11 +288,17 @@ class GridResult:
 
 
 def check_grid(epsilon_grid: list[float], k_range: list[int], k_min_admissible: int):
-    """Some ε, all in [0, 1], and some k, one at or above the floor."""
+    """Some distinct ε, all in [0, 1], and some distinct k >= 1, one at or
+    above the floor."""
     if not epsilon_grid or not k_range:
         raise ValidationError("epsilon grid and k range must be nonempty")
     for e in epsilon_grid:
         check_epsilon(e)
+    for k in k_range:
+        check_k(k)
+    for name, values in (("epsilon grid", epsilon_grid), ("k range", k_range)):
+        if len(set(values)) < len(values):
+            raise ValidationError(f"{name} {values} repeats a value")
     if not any(k >= k_min_admissible for k in k_range):
         raise ValidationError(
             f"no k in {k_range} reaches the admissibility floor {k_min_admissible}"
@@ -324,6 +334,7 @@ def optimize_states(
     check_grid(eps_list, k_list, k_min_admissible)
     check_n_init(n_init)
     check_threads(threads)
+    check_metric(metric)
 
     guhr = None if sectors is None else pipeline_stacks(returns, spec, eps_list, sectors)
     cells: list[GridCell] = []

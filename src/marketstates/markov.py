@@ -14,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InsufficientSequence, NonErgodic, ParameterRange, ValidationError
+from .rng import check_seed
 
 MARKOVIANITY_NOTE = "necessary condition, per external reference"
 
@@ -226,6 +227,7 @@ def markovianity_check(
         raise ParameterRange(f"quantile must be in (0, 1), got {policy.quantile}")
     if policy.n_boot < 1:
         raise ParameterRange(f"n_boot must be >= 1, got {policy.n_boot}")
+    check_seed(policy.seed)
 
     row_tv, probs = _two_step_tv(states, k)
     statistic = float(row_tv.max())

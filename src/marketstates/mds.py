@@ -27,7 +27,7 @@ from datetime import date
 
 import numpy as np
 from scipy.sparse.linalg import eigsh
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist
 
 from . import packed
 from .clustering import thread_map
@@ -96,10 +96,11 @@ def distance_matrix(matrices, threads: int = 1) -> DistanceMatrix:
     """All pairwise L1 distances between the rows of a MatrixStack (or a
     matrix list, stacked once), computed into packed storage.
 
-    Rows go in tiles of ``TILE_ROWS``; a tile's pairs among its own rows
-    and with every later row are written at their packed offsets. With
-    ``threads`` > 1 the tiles run on that many worker threads; 1 runs
-    them serially. The result does not depend on either.
+    Rows go in tiles of ``TILE_ROWS``; one cityblock call per tile gives
+    its rows' distances to every row from the tile's first on, and each
+    row's entries right of the diagonal go to its packed offsets. The
+    tiles run on ``threads`` worker threads; the result does not depend
+    on the count.
     """
     stack = MatrixStack.of(matrices)
     n = len(stack)
@@ -111,14 +112,9 @@ def distance_matrix(matrices, threads: int = 1) -> DistanceMatrix:
 
     def tile(lo: int):
         hi = min(lo + TILE_ROWS, n)
-        inner = pdist(pts[lo:hi], "cityblock")
-        outer = cdist(pts[lo:hi], pts[hi:], "cityblock")
-        taken = 0
+        block = cdist(pts[lo:hi], pts[lo:], "cityblock")
         for i in range(lo, hi):
-            start, inside = diag[i] + 1, hi - i - 1
-            d[start : start + inside] = inner[taken : taken + inside]
-            d[start + inside : start + n - i - 1] = outer[i - lo]
-            taken += inside
+            d[diag[i] + 1 : diag[i] + n - i] = block[i - lo, i - lo + 1 :]
 
     thread_map(tile, range(0, n, TILE_ROWS), threads)
     return DistanceMatrix(n=n, d=d)
@@ -162,19 +158,19 @@ def classical_mds(
 
     if n < DENSE_CUTOFF:
         vals, vecs = np.linalg.eigh(b)
-        order = np.argsort(vals, kind="stable")[::-1]
-        vals, vecs = vals[order], vecs[:, order]
-        positive_mass = float(vals[vals > 0].sum())
-        top_vals, top_vecs = vals[:dim], vecs[:, :dim]
+        mass_floor = 0.0
     else:
         # the all-ones vector is B's null direction; a fixed random start
         # keeps the iteration away from it and stays deterministic
         v0 = np.random.default_rng(0).standard_normal(n)
         vals, vecs = eigsh(b, k=dim, which="LA", v0=v0)
-        order = np.argsort(vals, kind="stable")[::-1]
-        top_vals, top_vecs = vals[order], vecs[:, order]
-        captured_sum = float(top_vals[top_vals > 0].sum())
-        positive_mass = max(float(np.trace(b)), captured_sum)
+        # only the top dim eigenvalues are known; trace(B), the sum of all
+        # n of them, is at most the positive mass
+        mass_floor = float(np.trace(b))
+    order = np.argsort(vals, kind="stable")[::-1]
+    vals, vecs = vals[order], vecs[:, order]
+    positive_mass = max(mass_floor, float(vals[vals > 0].sum()))
+    top_vals, top_vecs = vals[:dim], vecs[:, :dim]
 
     clamped = np.maximum(top_vals, 0.0)
     if (top_vals < 0).any():

@@ -24,6 +24,7 @@ from .markov import (
     equilibrium_distribution,
     sample_chain_block,
 )
+from .rng import check_seed
 
 START_DATE = date(2000, 1, 3)
 START_PRICE = 100.0
@@ -63,8 +64,10 @@ class RegimeSpec:
             raise InvalidRegime(
                 f"every regime duration must cover one epoch ({self.epoch_length} days)"
             )
-        if self.noise_scale <= 0:
-            raise ValidationError("noise scale must be positive")
+        if not 0 < self.noise_scale < np.inf:
+            raise ValidationError(
+                f"noise scale must be finite and positive, got {self.noise_scale}"
+            )
 
     @property
     def n_sectors(self) -> int:
@@ -103,7 +106,10 @@ def generate_block_market(
     Return day t belongs to the regime active between price days t and
     t+1; the label array marks price day t+1 with that regime and day 0
     with the first regime, so labels[1:] align exactly with return rows.
+    A noise scale so large that a price leaves (0, inf) raises
+    InvalidRegime.
     """
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     n = spec.n_stocks
     sector_of = np.repeat(np.arange(spec.n_sectors), spec.sector_sizes)
@@ -127,7 +133,12 @@ def generate_block_market(
 
     t_days = returns.shape[0] + 1
     log_price = np.vstack([np.zeros((1, n)), np.cumsum(returns, axis=0)])
-    prices = START_PRICE * np.exp(log_price)
+    with np.errstate(over="ignore"):
+        prices = START_PRICE * np.exp(log_price)
+    if not ((prices > 0) & (prices < np.inf)).all():
+        raise InvalidRegime(
+            f"noise scale {spec.noise_scale} drives prices out of (0, inf)"
+        )
     dates = tuple(START_DATE + timedelta(days=i) for i in range(t_days))
     table = PriceTable(dates=dates, tickers=spec.tickers(), prices=prices)
 
@@ -163,6 +174,7 @@ def generate_markov_sequence(probs, length: int, seed: int) -> StateSequence:
     k = p.shape[0]
     if length < 1:
         raise ParameterRange(f"length must be >= 1, got {length}")
+    check_seed(seed)
     zeros = np.zeros((k, k), dtype=np.int64)
     eq = equilibrium_distribution(TransitionMatrix(k, zeros, p, n_transitions=0))
 

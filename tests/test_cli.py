@@ -371,6 +371,16 @@ def test_bad_ranges_fail_before_loading(
     ("states", ["--k", 2, "--max-gap", -1], "ParameterRange", "max_gap must be >= 0"),
     ("optimize", ["--epsilon-grid", "0", "--k-range", "2:3", "--k-min", 2,
                   "--max-gap", -2], "ParameterRange", "max_gap must be >= 0"),
+    ("optimize", ["--epsilon-grid", "0", "--k-range", "0:3", "--k-min", 2],
+     "ParameterRange", "k must be >= 1, got 0"),
+    ("optimize", ["--epsilon-grid", "0,0", "--k-range", "2,2", "--k-min", 2],
+     "ValidationError", "epsilon grid [0.0, 0.0] repeats a value"),
+    ("optimize", ["--epsilon-grid", "0,0.5", "--k-range", "2,3,2", "--k-min", 2],
+     "ValidationError", "k range [2, 3, 2] repeats a value"),
+    ("optimize", ["--epsilon-grid", "0:1:0", "--k-range", "2:3", "--k-min", 2],
+     "ValidationError", "step must be positive"),
+    ("optimize", ["--epsilon-grid", "0", "--k-range", "5:2", "--k-min", 2],
+     "ValidationError", "range upper bound below lower bound"),
 ])
 def test_grid_and_gap_values_fail_before_loading(
     command, extra, error, word, tmp_path, monkeypatch, capsys
@@ -388,6 +398,59 @@ def test_grid_and_gap_values_fail_before_loading(
     err = capsys.readouterr().err
     assert f"error[{error}]" in err and word in err
     assert not (tmp_path / "out" / "run_meta.json").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "states", "optimize", "transitions", "mds"])
+def test_negative_seed_fails_before_any_work(command, tmp_path, monkeypatch, capsys):
+    """numpy takes no negative seed; every command rejects one as a
+    ParameterRange before it reads or generates anything."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "load_price_table", unreachable)
+    monkeypatch.setattr(cli, "generate_block_market", unreachable)
+    extra = {
+        "synth": [],
+        "optimize": ["--prices", tmp_path / "p.csv", "--epsilon-grid", "0",
+                     "--k-range", "2:3", "--k-min", 2],
+    }.get(command, ["--prices", tmp_path / "p.csv", "--k", 2])
+    out = tmp_path / "out"
+    rc = _run([command, "--out", out, "--seed", -1, *extra])
+    assert rc == 1
+    assert "error[ParameterRange]: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("noise, error, word", [
+    ("nan", "ValidationError", "noise scale must be finite and positive"),
+    ("inf", "ValidationError", "noise scale must be finite and positive"),
+    ("1000", "InvalidRegime", "drives prices out of (0, inf)"),
+])
+def test_synth_writes_no_prices_its_loader_rejects(tmp_path, capsys, noise, error, word):
+    out = tmp_path / "out"
+    rc = _run(SYNTH_ARGS + ["--out", out, "--noise", noise])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error[{error}]: " in err and word in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("extra, word", [
+    (["--sectors", "missing.csv"], "sector file not found"),
+    (["--pipeline", "guhr"], "pipeline 'guhr' requires --sectors"),
+])
+def test_sector_options_checked_before_loading(
+    market, tmp_path, monkeypatch, capsys, extra, word
+):
+    def unreachable(path):
+        raise AssertionError("the price table was read")
+
+    monkeypatch.setattr(cli, "load_price_table", unreachable)
+    monkeypatch.chdir(tmp_path)
+    rc = _run(["states", "--prices", market / "prices.csv", "--out", tmp_path / "out",
+               "--k", 2, *extra])
+    assert rc == 1
+    assert f"error[ValidationError]: {word}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", ["prices", "sectors", "config"])
@@ -543,6 +606,8 @@ def test_out_path_is_file(market, tmp_path, capsys):
     rc = _run(["states", "--prices", market / "prices.csv",
                "--out", target, "--k", 2])
     assert rc == 1
+    # every OS error is tagged OSError, whatever its subclass
+    assert capsys.readouterr().err.startswith("error[OSError]: ")
 
 
 def test_no_command_exits_one():

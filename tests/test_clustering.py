@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from marketstates import packed
+from marketstates import clustering, packed
 from marketstates.clustering import (
     MAX_ITER,
     Clustering,
@@ -141,8 +141,12 @@ def test_parameter_errors():
         kmeans(pts, k=0, seed=0)
     with pytest.raises(InsufficientData):
         kmeans(pts, k=7, seed=0)
-    with pytest.raises(ParameterRange):
+    with pytest.raises(ParameterRange, match=r"one of \('l1', 'l2'\)"):
         kmeans(pts, k=2, seed=0, metric="cosine")
+    with pytest.raises(ParameterRange, match="seed must be >= 0"):
+        kmeans(pts, k=2, seed=-1)
+    with pytest.raises(ValidationError, match="2-D"):
+        kmeans(np.zeros(6), k=1, seed=0)
     with pytest.raises(InsufficientData):
         kmeans([], k=1, seed=0)
     mixed = [_constant_corr(0.2, 3, 0), _constant_corr(0.2, 4, 1)]
@@ -554,6 +558,24 @@ def test_optimize_rejects_bad_grids():
         optimize_states(rt, spec, unmapped, [0.0, 0.5], [2], 2, 4, 0)
 
 
+@pytest.mark.parametrize("eps, ks, metric, error, word", [
+    ([0.0], [0, 3], "l1", ParameterRange, "k must be >= 1, got 0"),
+    ([0.0, 0.0], [2], "l1", ValidationError, "repeats a value"),
+    ([0.0], [2, 3, 2], "l1", ValidationError, "repeats a value"),
+    ([0.0], [2], "cosine", ParameterRange, "metric must be one of"),
+])
+def test_optimize_rejects_unusable_values_before_building_stacks(
+    monkeypatch, eps, ks, metric, error, word
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a stack was built")
+
+    monkeypatch.setattr(clustering, "pipeline_stacks", unreachable)
+    rt = _return_table(44, 4, seed=17)
+    with pytest.raises(error, match=word):
+        optimize_states(rt, EpochSpec(20, 1), None, eps, ks, 2, 4, 0, metric=metric)
+
+
 def test_grid_csv_round_trip():
     rt = _return_table(44, 4, seed=18)
     grid = optimize_states(rt, EpochSpec(20, 1), None, [0.0, 0.2], [2, 3], 2, 4, 7)
@@ -578,5 +600,7 @@ def test_grid_summary_contents():
     assert summary["n_init"] == 4
     assert summary["seed"] == 3
     assert "k=9,epsilon=0.0" in summary["cell_errors"]
+    with pytest.raises(KeyError):
+        grid.cell(3, 0.0)
     parsed = json.loads(grid_summary_json(grid))
     assert parsed["chosen_k"] == grid.chosen_k

@@ -180,6 +180,14 @@ def test_rolling_insufficient_rows():
     rt = _return_table(np.random.default_rng(7).normal(size=(10, 2)))
     with pytest.raises(InsufficientData):
         rolling_correlations(rt, EpochSpec(20, 1))
+    with pytest.raises(InsufficientData, match="outside 10 return rows"):
+        epoch_correlation(rt, 6, EpochSpec(5, 1))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+def test_pack_rejects_non_square(shape):
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        packed.pack(np.zeros(shape))
 
 
 def test_epoch_spec_validation():

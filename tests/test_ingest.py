@@ -110,6 +110,17 @@ def test_header_only_rejected():
         parse_price_table("date,A\n")
 
 
+@pytest.mark.parametrize("parse, text, word", [
+    (parse_price_table, "date\n2020-01-01\n", "at least one ticker"),
+    (parse_price_table, "date,A,\n2020-01-01,1,2\n", "empty ticker name"),
+    (lambda text: parse_sector_map(text, ["A", "B"]), "A,x\nB,\n",
+     "empty ticker or sector cell"),
+])
+def test_malformed_header_or_cell_raises_parse_error(parse, text, word):
+    with pytest.raises(ParseError, match=word):
+        parse(text)
+
+
 def test_parse_line_ends_quotes_and_blank_lines():
     crlf = parse_price_table(BASIC.replace("\n", "\r\n"))
     plain = parse_price_table(BASIC)
@@ -272,6 +283,8 @@ def test_log_returns_requires_gap_free():
     table = parse_price_table("date,A\n2020-01-01,10\n2020-01-02,\n2020-01-03,12\n")
     with pytest.raises(MissingValues):
         log_returns(table)
+    with pytest.raises(ValidationError, match="at least two price rows"):
+        log_returns(parse_price_table("date,A\n2020-01-01,10\n"))
 
 
 def test_log_returns_scale_invariant():

@@ -282,6 +282,8 @@ def test_markovianity_policy_validation():
         markovianity_check(seq, BootstrapPolicy(quantile=1.0))
     with pytest.raises(ParameterRange):
         markovianity_check(seq, BootstrapPolicy(n_boot=0))
+    with pytest.raises(ParameterRange, match="seed must be >= 0"):
+        markovianity_check(seq, BootstrapPolicy(seed=-1))
     with pytest.raises(InsufficientSequence):
         markovianity_check((1, 2))
 

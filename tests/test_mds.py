@@ -19,6 +19,7 @@ from marketstates.ingest import log_returns
 from marketstates.mds import (
     TILE_ROWS,
     DistanceMatrix,
+    Embedding,
     PALETTE,
     _double_center,
     classical_mds,
@@ -360,3 +361,12 @@ def test_embedding_svg_contents():
     assert f"{100 * frac:.1f}%" in svg
     with pytest.raises(ParameterRange, match="axis 2 out of range 1..1"):
         embedding_svg(classical_mds(_euclidean_dm(pts), dim=1))
+
+
+def test_embedding_svg_centres_a_constant_axis():
+    """A zero second axis is drawn at mid-height."""
+    coords = np.column_stack([np.arange(5.0) - 2.0, np.zeros(5)])
+    e = Embedding(coords=coords, eigenvalues=(10.0, 0.0), positive_mass=10.0,
+                  captured=1.0)
+    svg = embedding_svg(e)
+    assert svg.count('cy="240.00"') == 5

@@ -56,6 +56,18 @@ def test_regime_validation():
         _spec(intra=(0.3, 0.4), inter=(0.1,), durations=(200,))
     with pytest.raises(ValidationError):
         _spec(noise_scale=0.0)
+    # a nan scale writes empty price cells, an infinite one 0 and inf cells
+    for noise in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="finite and positive"):
+            _spec(noise_scale=noise)
+
+
+def test_block_market_rejects_negative_seed_and_overflowing_prices():
+    with pytest.raises(ParameterRange, match="seed must be >= 0"):
+        generate_block_market(_spec(), seed=-1)
+    # finite, but exp of the cumulated returns leaves (0, inf)
+    with pytest.raises(InvalidRegime, match=r"out of \(0, inf\)"):
+        generate_block_market(_spec(noise_scale=1e3), seed=0)
 
 
 def test_naming_and_sector_map():
@@ -168,6 +180,8 @@ def test_markov_sequence_determinism_and_validation():
     np.testing.assert_array_equal(a.states, b.states)
     with pytest.raises(ParameterRange):
         generate_markov_sequence(p, 0, seed=0)
+    with pytest.raises(ParameterRange, match="seed must be >= 0"):
+        generate_markov_sequence(p, 10, seed=-1)
     with pytest.raises(ValidationError):
         generate_markov_sequence(np.array([[0.5, 0.4], [0.5, 0.5]]), 10, seed=0)
     with pytest.raises(ValidationError):
