@@ -327,6 +327,8 @@ def cmd_transitions(cfg, out_dir: Path):
 def cmd_mds(cfg, out_dir: Path):
     mats, _, seq = _state_pipeline(cfg, *_prepare_data(cfg))
     dm = distance_matrix(mats, threads=cfg.threads)
+    # the stack is not needed again; freeing it lowers the scaling's peak
+    del mats
     emb = classical_mds(dm, 3, states=seq.states, epoch_ends=seq.epoch_ends)
     _write(out_dir, "embedding.csv", embedding_table(emb))
     _write(out_dir, "embedding.svg", embedding_svg(emb))

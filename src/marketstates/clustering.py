@@ -237,6 +237,7 @@ def sigma_intra(
     reproducible and independent of execution order. The best run is the
     minimal d_intra, ties broken by the lowest sub-seed value.
     """
+    check_seed(seed)
     check_n_init(n_init)
     pts = _packed_rows(matrices)
     seeds = [subseed(seed, i) for i in range(n_init)]
@@ -329,6 +330,7 @@ def optimize_states(
     one ``pipeline_stacks`` pass builds every small Guhr column; at stock
     level one full column is built at a time.
     """
+    check_seed(seed)
     eps_list = [float(e) for e in epsilon_grid]
     k_list = [int(k) for k in k_range]
     check_grid(eps_list, k_list, k_min_admissible)

@@ -5,8 +5,8 @@ tiles of ``TILE_ROWS`` epochs, each written straight into packed
 storage, on the worker threads the caller passes (scipy's distance
 kernels release the GIL). Every pair goes through the same cityblock
 sum whatever the tiling or thread count, so the distances are
-bit-identical across both. Double centring works in place on the one
-square matrix unpacked for the eigensolver.
+bit-identical across both. The double-centred Gram matrix is packed too;
+from ``DENSE_CUTOFF`` points on, the eigensolver multiplies by it there.
 
 These distances are generally not Euclidean-realizable, so the
 double-centered Gram matrix can have negative eigenvalues. Those are
@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
-from scipy.sparse.linalg import eigsh
+from scipy.linalg.blas import dspmv
+from scipy.sparse.linalg import LinearOperator, eigsh
 from scipy.spatial.distance import cdist
 
 from . import packed
@@ -120,16 +121,20 @@ def distance_matrix(matrices, threads: int = 1) -> DistanceMatrix:
     return DistanceMatrix(n=n, d=d)
 
 
-def _double_center(a: np.ndarray) -> np.ndarray:
-    """-1/2 J (a*a) J, computed in place on ``a`` and returned."""
-    np.square(a, out=a)
+def _packed_gram(d: DistanceMatrix) -> np.ndarray:
+    """B = -1/2 J (D*D) J in packed storage. Each row mean is taken over
+    the row's full length, in column order, so B is exactly symmetric."""
+    n = d.n
+    a = np.square(d.d)
     a *= -0.5
-    row = a.mean(axis=1, keepdims=True)
-    col = a.mean(axis=0, keepdims=True)
-    mean = a.mean()
-    a -= row
-    a -= col
-    a += mean
+    diag = packed.diagonal_positions(n)
+    up = diag - np.arange(n)  # (k, i) with k < i sits at up[k] + i
+    row = np.array([np.concatenate((a[up[:i] + i], a[s : s + n - i])).mean()
+                    for i, s in enumerate(diag)])
+    mean = row.mean()
+    for i, s in enumerate(diag):
+        b = a[s : s + n - i]
+        np.add(b - row[i] - row[i:], mean, out=b)
     return a
 
 
@@ -139,8 +144,8 @@ def classical_mds(
     states: np.ndarray | None = None,
     epoch_ends: tuple[date, ...] | None = None,
 ) -> Embedding:
-    """Torgerson scaling: eigendecompose B = -1/2 J D^2 J and scale the
-    top eigenvectors by sqrt(eigenvalue).
+    """Torgerson scaling: eigendecompose B = -1/2 J D^2 J, built in packed
+    storage, and scale the top eigenvectors by sqrt(eigenvalue).
 
     Below ``DENSE_CUTOFF`` points the full spectrum is computed, so the
     captured fraction is exact. Above it only the top ``dim`` eigenpairs
@@ -154,19 +159,23 @@ def classical_mds(
         raise ParameterRange(f"dim must be >= 1, got {dim}")
     if dim > n - 1:
         raise ParameterRange(f"dim={dim} exceeds n-1={n - 1}")
-    b = _double_center(d.full())
+    b = _packed_gram(d)
 
     if n < DENSE_CUTOFF:
-        vals, vecs = np.linalg.eigh(b)
+        vals, vecs = np.linalg.eigh(packed.unpack(b, n))
         mass_floor = 0.0
     else:
+        # row-major upper packing is LAPACK's column-major lower packing
+        op = LinearOperator(
+            (n, n), matvec=lambda v: dspmv(n, 1.0, b, v, lower=1), dtype=np.float64
+        )
         # the all-ones vector is B's null direction; a fixed random start
         # keeps the iteration away from it and stays deterministic
         v0 = np.random.default_rng(0).standard_normal(n)
-        vals, vecs = eigsh(b, k=dim, which="LA", v0=v0)
+        vals, vecs = eigsh(op, k=dim, which="LA", v0=v0)
         # only the top dim eigenvalues are known; trace(B), the sum of all
         # n of them, is at most the positive mass
-        mass_floor = float(np.trace(b))
+        mass_floor = float(b[packed.diagonal_positions(n)].sum())
     order = np.argsort(vals, kind="stable")[::-1]
     vals, vecs = vals[order], vecs[:, order]
     positive_mass = max(mass_floor, float(vals[vals > 0].sum()))

@@ -377,6 +377,24 @@ def test_thread_count_below_one_rejected():
         sigma_intra(pts, k=2, n_init=2, seed=0, threads=None)
 
 
+def test_negative_seed_rejected_before_any_work(monkeypatch):
+    """Sub-seeds mask the seed to 64 bits, so both restart entry points
+    check it first: before a stack is built or any k-means runs."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the seed check")
+
+    for name in ("_packed_rows", "kmeans", "pipeline_stacks"):
+        monkeypatch.setattr(clustering, name, forbidden)
+    pts = np.random.default_rng(12).normal(size=(20, 4))
+    with pytest.raises(ParameterRange, match="seed must be >= 0"):
+        sigma_intra(pts, k=2, n_init=2, seed=-1)
+    rt = _return_table(44, 4, seed=17)
+    for sectors in (None, _two_sector_map(rt.tickers)):
+        with pytest.raises(ParameterRange, match="seed must be >= 0"):
+            optimize_states(rt, EpochSpec(20, 1), sectors, [0.0], [2], 2, 4, -1)
+
+
 def _manual_clustering(assignments, k):
     return Clustering(
         k=k,

@@ -1,3 +1,4 @@
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
@@ -21,7 +22,7 @@ from marketstates.mds import (
     DistanceMatrix,
     Embedding,
     PALETTE,
-    _double_center,
+    _packed_gram,
     classical_mds,
     distance_matrix,
     embedding_svg,
@@ -163,24 +164,39 @@ def test_full_equals_unpack(n, seed):
     assert packed.unpack(d, n).tobytes() == want
 
 
-def _double_center_reference(d_full: np.ndarray) -> np.ndarray:
-    """The out-of-place formula the in-place version must match."""
-    a = -0.5 * d_full**2
-    row = a.mean(axis=1, keepdims=True)
-    col = a.mean(axis=0, keepdims=True)
-    return a - row - col + a.mean()
+def _gram_reference(dm: DistanceMatrix) -> np.ndarray:
+    """The square formula the packed Gram must match, row means on both
+    sides."""
+    a = -0.5 * dm.full() ** 2
+    row = a.mean(axis=1)
+    return packed.pack(a - row[:, None] - row[None, :] + row.mean())
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 80), seed=st.integers(0, 2**32 - 1))
-def test_double_center_in_place_equals_formula(n, seed):
+def test_packed_gram_equals_formula(n, seed):
     d = np.abs(_rough_values(np.random.default_rng(seed), packed.packed_length(n)))
     d[packed.diagonal_positions(n)] = 0.0
-    square = packed.unpack(d, n)
-    want = _double_center_reference(square)
-    got = _double_center(square)
-    assert got is square
-    assert got.tobytes() == want.tobytes()
+    dm = DistanceMatrix(n=n, d=d)
+    before = d.tobytes()
+    assert _packed_gram(dm).tobytes() == _gram_reference(dm).tobytes()
+    assert d.tobytes() == before
+
+
+def test_iterative_scaling_makes_no_square():
+    """The packed Gram and its matvec need about one packed copy of the
+    distances; an n x n square would be twice that."""
+    pts = np.random.default_rng(14).normal(size=(mds.DENSE_CUTOFF, 3))
+    dm = _euclidean_dm(pts)
+    classical_mds(dm, dim=3)  # lazy imports and caches first
+    tracemalloc.start()
+    try:
+        e = classical_mds(dm, dim=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert e.captured == pytest.approx(1.0, abs=1e-9)
+    assert peak < 1.5 * dm.d.nbytes
 
 
 def test_distance_container_validation():
