@@ -2,9 +2,12 @@
 
 Subcommands: states, optimize, transitions, mds, synth. Options come
 from flags or an optional ``--config`` file of ``key=value`` lines
-(flags win). With a fixed seed every artifact is byte-identical across
-runs and thread counts; wall-clock information lives only in
-``run_meta.json``.
+(flags win). Each command checks its options, computes, and returns its
+artifacts as ``{file name: text}``; ``main`` writes them, then
+``run_meta.json``, only after the command has returned, so a command
+that fails writes no artifact. With a fixed seed every artifact is
+byte-identical across runs and thread counts; wall-clock information
+lives only in ``run_meta.json``.
 
 Exit codes: 0 success, 1 invalid input or configuration, 2 computation
 failure on valid inputs.
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -70,6 +74,9 @@ def _float_list(text: str) -> list[float]:
     if ":" in text:
         lo_s, hi_s, step_s = text.split(":")
         lo, hi, step = float(lo_s), float(hi_s), float(step_s)
+        # a nan or infinite bound never ends the loop below
+        if not all(map(math.isfinite, (lo, hi, step))):
+            raise ValueError("range bounds and step must be finite")
         if step <= 0:
             raise ValueError("step must be positive")
         vals = []
@@ -107,57 +114,44 @@ def _choice(*options: str):
 
 _REQUIRED = object()
 
-# dest -> (converter, help)
+# dest -> (converter, default, help)
 _OPTION_DEFS = {
-    "prices": (str, "price table CSV (date,<ticker>,... header)"),
-    "sectors": (str, "sector map CSV (ticker,sector rows)"),
-    "out": (str, "output directory for artifacts"),
-    "config": (str, "key=value config file; flags override it"),
-    "epoch": (int, "epoch window length in trading days"),
-    "shift": (int, "epoch shift in trading days"),
-    "max_gap": (int, "drop tickers with more consecutive missing days than this"),
-    "epsilon": (float, "power-map noise suppression exponent parameter"),
-    "epsilon_grid": (_float_list, "epsilon values: comma list or lo:hi:step"),
-    "k": (int, "cluster count"),
-    "k_range": (_int_list, "k values: comma list or lo:hi"),
-    "k_min": (int, "smallest k admissible when choosing the grid optimum"),
-    "n_init": (int, "k-means restarts per cell"),
-    "seed": (int, "base seed for all randomized steps"),
-    "metric": (_choice("l1", "l2"), "clustering metric"),
-    "pipeline": (_choice("pearson", "guhr"), "cluster stock-level or sector-level matrices"),
-    "stride": (int, "subsample the state sequence before counting transitions"),
-    "damping": (float, "equilibrium damping toward the uniform chain"),
-    "threads": (int, "worker threads for restarts and distance tiles"),
-    "sector_sizes": (_int_list, "synthetic sector sizes, comma list"),
-    "intra": (_float_list, "per-regime intra-sector correlation levels"),
-    "inter": (_float_list, "per-regime inter-sector correlation levels"),
-    "durations": (_int_list, "per-regime durations in return days"),
-    "noise": (float, "daily return scale"),
+    "prices": (str, _REQUIRED, "price table CSV (date,<ticker>,... header)"),
+    "sectors": (str, None, "sector map CSV (ticker,sector rows)"),
+    "out": (str, _REQUIRED, "output directory for artifacts"),
+    "config": (str, None, "key=value config file; flags override it"),
+    "epoch": (int, 20, "epoch window length in trading days"),
+    "shift": (int, 1, "epoch shift in trading days"),
+    "max_gap": (int, 2, "drop tickers with more consecutive missing days than this"),
+    "epsilon": (float, 0.0, "power-map noise suppression exponent parameter"),
+    "epsilon_grid": (_float_list, _REQUIRED, "epsilon values: comma list or lo:hi:step"),
+    "k": (int, _REQUIRED, "cluster count"),
+    "k_range": (_int_list, _REQUIRED, "k values: comma list or lo:hi"),
+    "k_min": (int, _REQUIRED, "smallest k admissible when choosing the grid optimum"),
+    "n_init": (int, 100, "k-means restarts per cell"),
+    "seed": (int, 0, "base seed for all randomized steps"),
+    "metric": (_choice("l1", "l2"), "l1", "clustering metric"),
+    "pipeline": (_choice("pearson", "guhr"), "pearson",
+                 "cluster stock-level or sector-level matrices"),
+    "stride": (int, 1, "subsample the state sequence before counting transitions"),
+    "damping": (float, 0.0, "equilibrium damping toward the uniform chain"),
+    "threads": (int, os.cpu_count() or 1, "worker threads for restarts and distance tiles"),
+    "sector_sizes": (_int_list, [10] * 6, "synthetic sector sizes, comma list"),
+    "intra": (_float_list, [0.3, 0.6, 0.9], "per-regime intra-sector correlation levels"),
+    "inter": (_float_list, [0.1, 0.2, 0.3], "per-regime inter-sector correlation levels"),
+    "durations": (_int_list, [500, 500, 500], "per-regime durations in return days"),
+    "noise": (float, 0.02, "daily return scale"),
 }
 
-_DATA_COMMON = {
-    "prices": _REQUIRED,
-    "sectors": None,
-    "out": _REQUIRED,
-    "config": None,
-    "epoch": 20,
-    "shift": 1,
-    "max_gap": 2,
-    "n_init": 100,
-    "seed": 0,
-    "metric": "l1",
-    "pipeline": "pearson",
-    "threads": os.cpu_count() or 1,
-}
-
-# states, transitions and mds: one (k, epsilon) state sequence
-_STATE_OPTIONS = {**_DATA_COMMON, "epsilon": 0.0, "k": _REQUIRED}
+# the options every data command reads, in --help order
+_DATA_OPTIONS = ("prices", "sectors", "out", "config", "epoch", "shift", "max_gap",
+                 "n_init", "seed", "metric", "pipeline", "threads")
 
 
 def _convert(key: str, raw, source: str):
     conv = _OPTION_DEFS[key][0]
     try:
-        return conv(raw) if isinstance(raw, str) else raw
+        return conv(raw)
     except ValueError as exc:
         flag = "--" + key.replace("_", "-")
         raise ValidationError(f"bad value for {flag} (from {source}): {exc}") from None
@@ -184,17 +178,16 @@ def _read_config_file(path: str) -> list[tuple[str, str]]:
 
 
 def merge_config(command: str, args: argparse.Namespace) -> SimpleNamespace:
-    _, _, spec = _COMMANDS[command]
-    values = dict(spec)
+    values = {key: _OPTION_DEFS[key][1] for key in _COMMANDS[command][2]}
     config_path = getattr(args, "config", None)
     if config_path is not None:
         for key, raw in _read_config_file(config_path):
-            if key not in spec or key == "config":
+            if key not in values or key == "config":
                 raise ValidationError(
                     f"unknown config key {key!r} for command {command!r}"
                 )
             values[key] = _convert(key, raw, "config file")
-    for key in spec:
+    for key in values:
         raw = getattr(args, key, None)
         if raw is not None:
             values[key] = _convert(key, raw, "command line")
@@ -214,28 +207,13 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _check_ranges(cfg) -> EpochSpec:
-    """Data-free range checks, made before any input is read; returns the EpochSpec."""
-    if hasattr(cfg, "stride"):
-        if cfg.stride < 1:
-            raise ParameterRange(f"stride must be >= 1, got {cfg.stride}")
-        if cfg.k < 2:
-            raise ParameterRange(f"transitions need k >= 2 for tridiagonality, got {cfg.k}")
-        check_damping(cfg.damping)
+def _prepare_data(cfg):
+    """Checks every data command shares, then the inputs; returns the EpochSpec too."""
     check_n_init(cfg.n_init)
     check_threads(cfg.threads)
     check_seed(cfg.seed)
     check_max_gap(cfg.max_gap)
-    if hasattr(cfg, "epsilon_grid"):
-        check_grid(cfg.epsilon_grid, cfg.k_range, cfg.k_min)
-    else:
-        check_k(cfg.k)
-        check_epsilon(cfg.epsilon)
-    return EpochSpec(length=cfg.epoch, shift=cfg.shift)
-
-
-def _prepare_data(cfg):
-    spec = _check_ranges(cfg)
+    spec = EpochSpec(length=cfg.epoch, shift=cfg.shift)
     if not Path(cfg.prices).is_file():
         raise ValidationError(f"price file not found: {cfg.prices}")
     if cfg.sectors is not None and not Path(cfg.sectors).is_file():
@@ -261,20 +239,13 @@ def _state_pipeline(cfg, returns, sectors, spec):
     return mats, result, seq
 
 
-def _write(out_dir: Path, name: str, text: str):
-    (out_dir / name).write_text(text, encoding="utf-8")
-
-
-def _states_csv(seq) -> str:
+def cmd_states(cfg) -> dict[str, str]:
+    check_k(cfg.k)
+    check_epsilon(cfg.epsilon)
+    _, result, seq = _state_pipeline(cfg, *_prepare_data(cfg))
     lines = ["epoch_end,state"]
     for end, state in zip(seq.epoch_ends, seq.states):
         lines.append(f"{end.isoformat()},{int(state)}")
-    return "\n".join(lines) + "\n"
-
-
-def cmd_states(cfg, out_dir: Path):
-    _, result, seq = _state_pipeline(cfg, *_prepare_data(cfg))
-    _write(out_dir, "states.csv", _states_csv(seq))
     counts = {int(s): int((seq.states == s).sum()) for s in range(1, seq.k + 1)}
     summary = {
         "k": cfg.k,
@@ -291,11 +262,14 @@ def cmd_states(cfg, out_dir: Path):
         "sigma_intra": result.sigma_intra,
         "converged": result.best.converged,
     }
-    _write(out_dir, "states_summary.json",
-           json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    return {
+        "states.csv": "\n".join(lines) + "\n",
+        "states_summary.json": json.dumps(summary, indent=2, sort_keys=True) + "\n",
+    }
 
 
-def cmd_optimize(cfg, out_dir: Path):
+def cmd_optimize(cfg) -> dict[str, str]:
+    check_grid(cfg.epsilon_grid, cfg.k_range, cfg.k_min)
     returns, sectors, spec = _prepare_data(cfg)
     grid = optimize_states(
         returns, spec, sectors,
@@ -303,11 +277,16 @@ def cmd_optimize(cfg, out_dir: Path):
         cfg.n_init, cfg.seed,
         metric=cfg.metric, threads=cfg.threads,
     )
-    _write(out_dir, "sigma_grid.csv", grid_csv(grid))
-    _write(out_dir, "sigma_summary.json", grid_summary_json(grid))
+    return {"sigma_grid.csv": grid_csv(grid), "sigma_summary.json": grid_summary_json(grid)}
 
 
-def cmd_transitions(cfg, out_dir: Path):
+def cmd_transitions(cfg) -> dict[str, str]:
+    if cfg.stride < 1:
+        raise ParameterRange(f"stride must be >= 1, got {cfg.stride}")
+    if cfg.k < 2:
+        raise ParameterRange(f"transitions need k >= 2 for tridiagonality, got {cfg.k}")
+    check_damping(cfg.damping)
+    check_epsilon(cfg.epsilon)
     returns, sectors, spec = _prepare_data(cfg)
     epochs = spec.window_count(returns.n_rows)
     kept = len(range(0, epochs, cfg.stride))
@@ -321,20 +300,21 @@ def cmd_transitions(cfg, out_dir: Path):
     t = transition_matrix(states, k=seq.k)
     eq = equilibrium_distribution(t, damping=cfg.damping)
     report = markovianity_check(states, BootstrapPolicy(seed=cfg.seed), k=seq.k)
-    _write(out_dir, "transitions.json", transitions_json(t, eq, report))
+    return {"transitions.json": transitions_json(t, eq, report)}
 
 
-def cmd_mds(cfg, out_dir: Path):
+def cmd_mds(cfg) -> dict[str, str]:
+    check_k(cfg.k)
+    check_epsilon(cfg.epsilon)
     mats, _, seq = _state_pipeline(cfg, *_prepare_data(cfg))
     dm = distance_matrix(mats, threads=cfg.threads)
     # the stack is not needed again; freeing it lowers the scaling's peak
     del mats
     emb = classical_mds(dm, 3, states=seq.states, epoch_ends=seq.epoch_ends)
-    _write(out_dir, "embedding.csv", embedding_table(emb))
-    _write(out_dir, "embedding.svg", embedding_svg(emb))
+    return {"embedding.csv": embedding_table(emb), "embedding.svg": embedding_svg(emb)}
 
 
-def cmd_synth(cfg, out_dir: Path):
+def cmd_synth(cfg) -> dict[str, str]:
     check_seed(cfg.seed)
     spec = RegimeSpec(
         sector_sizes=tuple(cfg.sector_sizes),
@@ -344,57 +324,45 @@ def cmd_synth(cfg, out_dir: Path):
         noise_scale=cfg.noise,
         epoch_length=cfg.epoch,
     )
-    table, day_labels = generate_block_market(spec, cfg.seed)
-    _write(out_dir, "prices.csv", price_table_csv(table))
-    _write(out_dir, "regime_truth.csv", regime_truth_csv(table, day_labels))
     sector_map = spec.sector_map()
+    table, day_labels = generate_block_market(spec, cfg.seed)
     lines = ["ticker,sector"]
     for ticker in table.tickers:
         lines.append(f"{ticker},{sector_map.assignment[ticker]}")
-    _write(out_dir, "sectors.csv", "\n".join(lines) + "\n")
+    return {
+        "prices.csv": price_table_csv(table),
+        "regime_truth.csv": regime_truth_csv(table, day_labels),
+        "sectors.csv": "\n".join(lines) + "\n",
+    }
 
 
-# subcommand -> (handler, help, option defaults)
+# subcommand -> (handler, help, option names in --help order)
 _COMMANDS: dict[str, tuple] = {
     "states": (
         cmd_states,
         "fixed (k, epsilon) state sequence from a price table",
-        _STATE_OPTIONS,
+        (*_DATA_OPTIONS, "epsilon", "k"),
     ),
     "optimize": (
         cmd_optimize,
         "sigma_intra scan over the (k, epsilon) grid",
-        {
-            **_DATA_COMMON,
-            "epsilon_grid": _REQUIRED,
-            "k_range": _REQUIRED,
-            "k_min": _REQUIRED,
-        },
+        (*_DATA_OPTIONS, "epsilon_grid", "k_range", "k_min"),
     ),
     "transitions": (
         cmd_transitions,
         "state sequence plus transition matrix, equilibrium, Markov checks",
-        {**_STATE_OPTIONS, "stride": 1, "damping": 0.0},
+        (*_DATA_OPTIONS, "epsilon", "k", "stride", "damping"),
     ),
     "mds": (
         cmd_mds,
         "3D classical scaling of the epoch matrices",
-        _STATE_OPTIONS,
+        (*_DATA_OPTIONS, "epsilon", "k"),
     ),
     "synth": (
         cmd_synth,
         "generate a planted block market",
-        {
-            "out": _REQUIRED,
-            "config": None,
-            "seed": 0,
-            "epoch": 20,
-            "sector_sizes": [10, 10, 10, 10, 10, 10],
-            "intra": [0.3, 0.6, 0.9],
-            "inter": [0.1, 0.2, 0.3],
-            "durations": [500, 500, 500],
-            "noise": 0.02,
-        },
+        ("out", "config", "seed", "epoch", "sector_sizes", "intra", "inter",
+         "durations", "noise"),
     ),
 }
 
@@ -410,11 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         for dest in options:
             flag = "--" + dest.replace("_", "-")
-            sp.add_argument(flag, dest=dest, default=None, help=_OPTION_DEFS[dest][1])
+            sp.add_argument(flag, dest=dest, default=None, help=_OPTION_DEFS[dest][2])
     return parser
 
 
-def _write_run_meta(cfg, out_dir: Path, command: str, started: str, elapsed: float):
+def _run_meta(cfg, command: str, started: str, elapsed: float) -> str:
     hashes = {}
     for key in ("prices", "sectors", "config"):
         path = getattr(cfg, key, None)
@@ -428,12 +396,10 @@ def _write_run_meta(cfg, out_dir: Path, command: str, started: str, elapsed: flo
         "started_at": started,
         "wall_time_s": elapsed,
     }
-    _write(out_dir, "run_meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    return json.dumps(meta, indent=2, sort_keys=True) + "\n"
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -444,12 +410,16 @@ def main(argv=None) -> int:
     try:
         cfg = merge_config(args.command, args)
         out_dir = Path(cfg.out)
+        # made before the run, so an unusable --out fails before any work
         out_dir.mkdir(parents=True, exist_ok=True)
         started = datetime.now(timezone.utc).isoformat()
         t0 = time.perf_counter()
         run, _, _ = _COMMANDS[args.command]
-        run(cfg, out_dir)
-        _write_run_meta(cfg, out_dir, args.command, started, time.perf_counter() - t0)
+        artifacts = run(cfg)
+        for name, text in artifacts.items():
+            (out_dir / name).write_text(text, encoding="utf-8")
+        meta = _run_meta(cfg, args.command, started, time.perf_counter() - t0)
+        (out_dir / "run_meta.json").write_text(meta, encoding="utf-8")
     except (MarketStatesError, OSError) as exc:
         tag = "OSError" if isinstance(exc, OSError) else type(exc).__name__
         print(f"error[{tag}]: {exc}", file=sys.stderr)

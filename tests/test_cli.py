@@ -17,9 +17,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marketstates import cli
 from marketstates.cli import build_parser, main, merge_config
+from marketstates.errors import ComputationError
 from marketstates.ingest import load_price_table
 
 # two regimes of 120 return days each: 241 price rows, 15 tickers,
@@ -259,6 +262,56 @@ def test_grid_syntax_colon_equals_comma():
     assert 0.3 in c.epsilon_grid and len(c.epsilon_grid) == 11
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    lo=st.floats(-1e3, 1e3),
+    step=st.floats(1e-3, 1e2),
+    span=st.floats(0.0, 199.0),
+)
+def test_float_range_equals_its_comma_form(lo, step, span):
+    """At most about 200 values: each rounded to 12 decimals, none above
+    hi, and the comma list of them parses back to the same list."""
+    hi = lo + span * step
+    vals = cli._float_list(f"{lo!r}:{hi!r}:{step!r}")
+    assert cli._float_list(",".join(map(repr, vals))) == vals
+    assert all(v == round(v, 12) and v <= hi + 1e-9 for v in vals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.integers(-10**6, 10**6), span=st.integers(0, 199))
+def test_int_range_equals_its_comma_form(lo, span):
+    hi = lo + span
+    vals = cli._int_list(f"{lo}:{hi}")
+    assert vals == list(range(lo, hi + 1))
+    assert cli._int_list(",".join(map(str, vals))) == vals
+
+
+@pytest.mark.parametrize("source", ["command line", "config file"])
+@pytest.mark.parametrize("option", ["epsilon-grid", "intra", "inter"])
+@pytest.mark.parametrize("value", ["0:inf:0.1", "0:nan:0.1", "nan:1:0.1", "-inf:1:0.1",
+                                   "0:1:nan"])
+def test_non_finite_range_bounds_fail_fast(option, value, source, tmp_path, capsys):
+    """A nan or infinite bound or step is rejected while parsing; it used
+    to loop forever building the list."""
+    if option == "epsilon-grid":
+        argv = ["optimize", "--prices", tmp_path / "p.csv", "--k-range", "2:3",
+                "--k-min", 2]
+    else:
+        argv = ["synth"]
+    if source == "config file":
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{option}={value}\n")
+        argv += ["--config", config]
+    else:
+        # the = form, since "-inf:..." would otherwise read as a flag
+        argv.append(f"--{option}={value}")
+    out = tmp_path / "out"
+    assert _run([*argv, "--out", out]) == 1
+    assert (f"error[ValidationError]: bad value for --{option} (from {source}): "
+            "range bounds and step must be finite") in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------- transitions
 
 def test_transitions_payload(trans_out):
@@ -435,6 +488,17 @@ def test_synth_writes_no_prices_its_loader_rejects(tmp_path, capsys, noise, erro
     assert not out.exists() or list(out.iterdir()) == []
 
 
+def test_synth_that_fails_late_writes_nothing(tmp_path, capsys):
+    """A single sector passes the spec's own checks and fails when the
+    sector map is built; no file is written."""
+    out = tmp_path / "out"
+    rc = _run(["synth", "--out", out, "--sector-sizes", 5, "--intra", "0.2,0.8",
+               "--inter", "0.05,0.1", "--durations", "120,120"])
+    assert rc == 1
+    assert "error[ValidationError]: need at least 2 sectors" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("extra, word", [
     (["--sectors", "missing.csv"], "sector file not found"),
     (["--pipeline", "guhr"], "pipeline 'guhr' requires --sectors"),
@@ -538,6 +602,21 @@ def test_mds_threads_do_not_change_artifacts(market, tmp_path):
         outs.append([(d / name).read_bytes()
                      for name in ("embedding.csv", "embedding.svg")])
     assert outs[0] == outs[1]
+
+
+def test_mds_failing_after_its_table_writes_nothing(market, tmp_path, monkeypatch, capsys):
+    """The embedding table is ready before the plot fails; neither is
+    written, nor is run_meta.json."""
+    def fail(emb):
+        raise ComputationError("plot failed")
+
+    monkeypatch.setattr(cli, "embedding_svg", fail)
+    out = tmp_path / "out"
+    rc = _run(["mds", "--prices", market / "prices.csv", "--out", out,
+               "--k", 2, "--n-init", 2, "--seed", 0])
+    assert rc == 2
+    assert "error[ComputationError]: plot failed" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 # ----------------------------------------------------------- exit codes

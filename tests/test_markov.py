@@ -306,6 +306,65 @@ def test_sample_chain_block_absorbing_identity():
     assert (out[1] == 2).all()
 
 
+def _per_chain_sampler(probs, length, starts, rng):
+    """One chain and one step at a time: the same uniforms, each inverted
+    through its row's running sum."""
+    k = len(probs)
+    u = rng.random((len(starts), length - 1))
+    out = []
+    for i, start in enumerate(starts):
+        chain = [int(start)]
+        for step in range(length - 1):
+            row, acc, nxt = probs[chain[-1] - 1], 0.0, k
+            for j in range(k):
+                acc += row[j]
+                if u[i, step] < acc:
+                    nxt = j + 1
+                    break
+            chain.append(nxt)
+        out.append(chain)
+    return np.array(out, dtype=np.int64).reshape(len(starts), length)
+
+
+@st.composite
+def _chain_rows(draw):
+    """A k x k matrix whose rows are random with zeros, absorbing, or
+    sticky (a dominant diagonal)."""
+    k = draw(st.integers(1, 6))
+    rows = []
+    for i in range(k):
+        kind = draw(st.sampled_from(["random", "absorbing", "sticky"]))
+        if kind == "absorbing":
+            row = np.eye(k)[i]
+        else:
+            weights = np.array(draw(st.lists(st.integers(0, 5), min_size=k, max_size=k)),
+                               dtype=float)
+            if kind == "sticky":
+                weights[i] += 1000.0
+            if weights.sum() == 0:
+                weights[draw(st.integers(0, k - 1))] = 1.0
+            row = weights / weights.sum()
+        rows.append(row)
+    return np.array(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    probs=_chain_rows(),
+    length=st.integers(1, 60),
+    n_chains=st.integers(1, 4),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_chain_block_equals_per_chain_reference(probs, length, n_chains, data, seed):
+    k = probs.shape[0]
+    starts = np.array(data.draw(st.lists(st.integers(1, k), min_size=n_chains,
+                                         max_size=n_chains)))
+    got = sample_chain_block(probs, length, starts, np.random.default_rng(seed))
+    want = _per_chain_sampler(probs, length, starts, np.random.default_rng(seed))
+    np.testing.assert_array_equal(got, want)
+
+
 def test_sample_chain_frequencies_match_equilibrium():
     p = np.array([[0.9, 0.1], [0.2, 0.8]])
     rng = np.random.default_rng(7)
