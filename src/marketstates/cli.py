@@ -67,6 +67,12 @@ from .rng import check_seed
 from .synth import RegimeSpec, generate_block_market, regime_truth_csv
 
 
+# a lo:hi range is expanded while parsing, so its length is capped
+# before anything else can look at it; no grid or spec uses this many
+_MAX_RANGE_VALUES = 10_000
+_TOO_LONG = f"range has more than {_MAX_RANGE_VALUES} values"
+
+
 def _float_list(text: str) -> list[float]:
     """``a,b,c`` or inclusive ``lo:hi:step``; grid values rounded to 12
     decimals so artifacts show 0.3, not 0.30000000000000004."""
@@ -86,6 +92,8 @@ def _float_list(text: str) -> list[float]:
             if v > hi + 1e-9:
                 break
             vals.append(v)
+            if len(vals) > _MAX_RANGE_VALUES:
+                raise ValueError(_TOO_LONG)
             i += 1
         return vals
     return [float(x) for x in text.split(",") if x.strip()]
@@ -99,6 +107,8 @@ def _int_list(text: str) -> list[int]:
         lo, hi = int(lo_s), int(hi_s)
         if hi < lo:
             raise ValueError("range upper bound below lower bound")
+        if hi - lo >= _MAX_RANGE_VALUES:
+            raise ValueError(_TOO_LONG)
         return list(range(lo, hi + 1))
     return [int(x) for x in text.split(",") if x.strip()]
 

@@ -3,10 +3,17 @@
 The pairwise L1 distances between packed matrices are computed in row
 tiles of ``TILE_ROWS`` epochs, each written straight into packed
 storage, on the worker threads the caller passes (scipy's distance
-kernels release the GIL). Every pair goes through the same cityblock
-sum whatever the tiling or thread count, so the distances are
-bit-identical across both. The double-centred Gram matrix is packed too;
-from ``DENSE_CUTOFF`` points on, the eigensolver multiplies by it there.
+kernels release the GIL). A tile's cityblock call runs the stack from
+the tile's first row down against the tile's own rows, so the large
+operand is read once per tile while the tile's rows stay in cache. Every
+pair goes through the same cityblock sum whatever the tiling or thread
+count, so the distances are bit-identical across both.
+
+``classical_mds`` consumes its ``DistanceMatrix``: the double-centred
+Gram matrix is built in place in the distances' packed buffer, so
+scaling holds one packed n(n+1)/2 buffer from the distances to the
+embedding. From ``DENSE_CUTOFF`` points on, the eigensolver multiplies
+by it there.
 
 These distances are generally not Euclidean-realizable, so the
 double-centered Gram matrix can have negative eigenvalues. Those are
@@ -41,29 +48,55 @@ PALETTE = (
 )
 
 DENSE_CUTOFF = 1500
-TILE_ROWS = 128
+TILE_ROWS = 32
 
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Packed symmetric nonnegative distances with a zero diagonal."""
+    """Packed symmetric nonnegative distances with a zero diagonal.
+
+    ``classical_mds`` takes the buffer over for its Gram matrix; the
+    matrix is spent then, ``d`` is None, and ``full`` or another scaling
+    raises ValidationError."""
 
     n: int
-    d: np.ndarray
+    d: np.ndarray | None
 
     def __post_init__(self):
         if self.d.shape != (packed.packed_length(self.n),):
             raise ValidationError(
                 f"packed length {self.d.shape} does not match n={self.n}"
             )
-        if (self.d < 0).any():
+        # a reduction, not an n(n+1)/2 boolean temporary; fmin skips NaN
+        # just as the comparison d < 0 is false for it
+        if self.d.size and np.fmin.reduce(self.d) < 0:
             raise ValidationError("distances must be nonnegative")
         if self.d[packed.diagonal_positions(self.n)].any():
             raise ValidationError("distance diagonal must be zero")
 
+    def _buffer(self) -> np.ndarray:
+        if self.d is None:
+            raise ValidationError(
+                "distance matrix is spent: classical_mds built its Gram "
+                "matrix in the distances' buffer"
+            )
+        return self.d
+
+    def _take(self) -> np.ndarray:
+        """The packed buffer, handed over to be overwritten; the matrix
+        is spent from here on."""
+        d = self._buffer()
+        if not d.flags.writeable:
+            raise ValidationError(
+                "distance buffer is read-only; classical_mds builds its Gram "
+                "matrix in it"
+            )
+        object.__setattr__(self, "d", None)
+        return d
+
     def full(self) -> np.ndarray:
         """The symmetric square, unpacked from packed storage."""
-        return packed.unpack(self.d, self.n)
+        return packed.unpack(self._buffer(), self.n)
 
 
 @dataclass(frozen=True)
@@ -98,10 +131,10 @@ def distance_matrix(matrices, threads: int = 1) -> DistanceMatrix:
     matrix list, stacked once), computed into packed storage.
 
     Rows go in tiles of ``TILE_ROWS``; one cityblock call per tile gives
-    its rows' distances to every row from the tile's first on, and each
-    row's entries right of the diagonal go to its packed offsets. The
-    tiles run on ``threads`` worker threads; the result does not depend
-    on the count.
+    the distances of every row from the tile's first on to the tile's
+    rows, one column per tile row, and each column's entries below the
+    diagonal go to that row's packed offsets. The tiles run on
+    ``threads`` worker threads; the result does not depend on the count.
     """
     stack = MatrixStack.of(matrices)
     n = len(stack)
@@ -113,19 +146,21 @@ def distance_matrix(matrices, threads: int = 1) -> DistanceMatrix:
 
     def tile(lo: int):
         hi = min(lo + TILE_ROWS, n)
-        block = cdist(pts[lo:hi], pts[lo:], "cityblock")
+        block = cdist(pts[lo:], pts[lo:hi], "cityblock")
         for i in range(lo, hi):
-            d[diag[i] + 1 : diag[i] + n - i] = block[i - lo, i - lo + 1 :]
+            d[diag[i] + 1 : diag[i] + n - i] = block[i - lo + 1 :, i - lo]
 
     thread_map(tile, range(0, n, TILE_ROWS), threads)
     return DistanceMatrix(n=n, d=d)
 
 
 def _packed_gram(d: DistanceMatrix) -> np.ndarray:
-    """B = -1/2 J (D*D) J in packed storage. Each row mean is taken over
-    the row's full length, in column order, so B is exactly symmetric."""
+    """B = -1/2 J (D*D) J, built in place in the packed buffer that ``d``
+    hands over. Each row mean is taken over the row's full length, in
+    column order, so B is exactly symmetric."""
     n = d.n
-    a = np.square(d.d)
+    a = d._take()
+    np.square(a, out=a)
     a *= -0.5
     diag = packed.diagonal_positions(n)
     up = diag - np.arange(n)  # (k, i) with k < i sits at up[k] + i
@@ -146,6 +181,12 @@ def classical_mds(
 ) -> Embedding:
     """Torgerson scaling: eigendecompose B = -1/2 J D^2 J, built in packed
     storage, and scale the top eigenvectors by sqrt(eigenvalue).
+
+    The call consumes ``d``: B is built in the distances' own buffer, so
+    no second n(n+1)/2 buffer is made, and ``d`` is spent afterwards
+    (another scaling or ``d.full()`` raises ValidationError). Build a
+    new DistanceMatrix to scale the same distances again. A read-only
+    buffer raises ValidationError and leaves ``d`` as it was.
 
     Below ``DENSE_CUTOFF`` points the full spectrum is computed, so the
     captured fraction is exact. Above it only the top ``dim`` eigenpairs

@@ -286,6 +286,34 @@ def test_int_range_equals_its_comma_form(lo, span):
     assert cli._int_list(",".join(map(str, vals))) == vals
 
 
+def test_ranges_up_to_the_cap_parse():
+    cap = cli._MAX_RANGE_VALUES
+    assert cli._int_list(f"1:{cap}") == list(range(1, cap + 1))
+    assert cli._float_list(f"0:{cap - 1}:1") == [float(v) for v in range(cap)]
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("optimize", "k-range", "1:100000000"),
+    ("optimize", "k-range", "2:10002"),
+    ("optimize", "epsilon-grid", "0:1:1e-9"),
+    ("optimize", "epsilon-grid", "0:10000:1"),
+    ("synth", "intra", "0:1:1e-9"),
+    ("synth", "durations", "1:100000000"),
+])
+def test_long_ranges_fail_fast(command, option, value, tmp_path, capsys):
+    """A finite range is capped while it is expanded; an uncapped one
+    built a list of 10^8 ints (a MemoryError under a small address-space
+    limit) or looped for 10^9 floats."""
+    argv = [command, "--out", tmp_path / "out", f"--{option}={value}"]
+    if command == "optimize":
+        argv += ["--prices", tmp_path / "p.csv", "--k-min", 2]
+        argv += ["--k-range=2:3"] if option != "k-range" else ["--epsilon-grid=0"]
+    assert _run(argv) == 1
+    assert (f"error[ValidationError]: bad value for --{option} (from command line): "
+            f"range has more than {cli._MAX_RANGE_VALUES} values") in capsys.readouterr().err
+    assert not (tmp_path / "out" / "run_meta.json").exists()
+
+
 @pytest.mark.parametrize("source", ["command line", "config file"])
 @pytest.mark.parametrize("option", ["epsilon-grid", "intra", "inter"])
 @pytest.mark.parametrize("value", ["0:inf:0.1", "0:nan:0.1", "nan:1:0.1", "-inf:1:0.1",

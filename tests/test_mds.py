@@ -177,18 +177,21 @@ def _gram_reference(dm: DistanceMatrix) -> np.ndarray:
 def test_packed_gram_equals_formula(n, seed):
     d = np.abs(_rough_values(np.random.default_rng(seed), packed.packed_length(n)))
     d[packed.diagonal_positions(n)] = 0.0
-    dm = DistanceMatrix(n=n, d=d)
-    before = d.tobytes()
-    assert _packed_gram(dm).tobytes() == _gram_reference(dm).tobytes()
-    assert d.tobytes() == before
+    want = _gram_reference(DistanceMatrix(n=n, d=d.copy())).tobytes()
+    b = _packed_gram(DistanceMatrix(n=n, d=d))
+    assert b.tobytes() == want
+    assert np.shares_memory(b, d)  # built in the distances' buffer
 
 
 def test_iterative_scaling_makes_no_square():
-    """The packed Gram and its matvec need about one packed copy of the
-    distances; an n x n square would be twice that."""
+    """The packed Gram is built in the distances' buffer, so scaling adds
+    only O(n) vectors and the eigensolver's n x ncv workspace: 6.5% of
+    the packed bytes at this n, measured. A second packed buffer would be
+    100% and an n x n square 200%."""
     pts = np.random.default_rng(14).normal(size=(mds.DENSE_CUTOFF, 3))
+    classical_mds(_euclidean_dm(pts), dim=3)  # lazy imports and caches first
     dm = _euclidean_dm(pts)
-    classical_mds(dm, dim=3)  # lazy imports and caches first
+    nbytes = dm.d.nbytes
     tracemalloc.start()
     try:
         e = classical_mds(dm, dim=3)
@@ -196,7 +199,47 @@ def test_iterative_scaling_makes_no_square():
     finally:
         tracemalloc.stop()
     assert e.captured == pytest.approx(1.0, abs=1e-9)
-    assert peak < 1.5 * dm.d.nbytes
+    assert peak < 0.1 * nbytes
+
+
+def test_spent_distance_matrix_raises():
+    """classical_mds consumes its input; a second use fails instead of
+    reading the Gram matrix that now fills the buffer."""
+    pts = np.random.default_rng(16).normal(size=(8, 2))
+    dm = _euclidean_dm(pts)
+    with pytest.raises(ParameterRange):
+        classical_mds(dm, dim=8)  # rejected before the buffer is taken
+    dm.full()
+    classical_mds(dm, dim=2)
+    assert dm.d is None
+    with pytest.raises(ValidationError, match="spent"):
+        classical_mds(dm, dim=2)
+    with pytest.raises(ValidationError, match="spent"):
+        dm.full()
+
+    frozen = _euclidean_dm(pts)
+    frozen.d.flags.writeable = False
+    with pytest.raises(ValidationError, match="read-only"):
+        classical_mds(frozen, dim=2)
+    assert frozen.full().tobytes() == _euclidean_dm(pts).full().tobytes()
+
+
+def test_distance_matrix_makes_no_half_square_temporary():
+    """Past the packed result the traced peak holds one cityblock block
+    per worker thread (1,078,026 bytes over the result against 1,024,000
+    for the two blocks, measured); any n(n+1)/2 temporary, even a boolean
+    one of 2,001,000 bytes, exceeds the margin."""
+    n = 2000
+    stack = _stack(np.random.default_rng(15).normal(size=(n, 6)), 3)
+    # lazy imports and the pool machinery first
+    distance_matrix(_stack(np.random.default_rng(16).normal(size=(40, 6)), 3), threads=2)
+    tracemalloc.start()
+    try:
+        dm = distance_matrix(stack, threads=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dm.d.nbytes + 2 * TILE_ROWS * n * 8 + 256 * 1024
 
 
 def test_distance_container_validation():
@@ -210,6 +253,27 @@ def test_distance_container_validation():
     diag[0] = 1.0  # (0,0) position
     with pytest.raises(ValidationError):
         DistanceMatrix(n=3, d=diag)
+
+
+@pytest.mark.parametrize("off_diagonal, ok", [
+    ((0.0, 1.0, 2.0), True),
+    ((-0.0, 1.0, 2.0), True),
+    ((np.nan, 1.0, 2.0), True),
+    ((np.nan, np.nan, np.nan), True),
+    ((np.nan, -0.5, 2.0), False),
+    ((1.0, 2.0, -1e-300), False),
+])
+def test_nonnegativity_check_treats_nan_and_negative_zero_as_before(off_diagonal, ok):
+    """The sign check is a reduction; it passes and fails exactly where
+    ``(d < 0).any()`` does: NaN and -0.0 are not negative."""
+    d = np.zeros(6)
+    d[[1, 2, 4]] = off_diagonal
+    assert ok == (not (d < 0).any())
+    if ok:
+        DistanceMatrix(n=3, d=d)
+    else:
+        with pytest.raises(ValidationError, match="nonnegative"):
+            DistanceMatrix(n=3, d=d)
 
 
 def test_line_three_points():
@@ -295,10 +359,9 @@ def test_dim_validation():
 def test_iterative_path_matches_dense(monkeypatch):
     rng = np.random.default_rng(6)
     pts = rng.normal(size=(60, 4))
-    dm = _euclidean_dm(pts)
-    dense = classical_mds(dm, dim=3)
+    dense = classical_mds(_euclidean_dm(pts), dim=3)
     monkeypatch.setattr(mds, "DENSE_CUTOFF", 10)
-    iterative = classical_mds(dm, dim=3)
+    iterative = classical_mds(_euclidean_dm(pts), dim=3)
     np.testing.assert_allclose(iterative.coords, dense.coords, atol=1e-7)
     np.testing.assert_allclose(
         np.array(iterative.eigenvalues), np.array(dense.eigenvalues), rtol=1e-9
