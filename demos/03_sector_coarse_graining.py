@@ -9,7 +9,7 @@ clusters the much smaller matrices and should find the same states.
 import numpy as np
 
 from marketstates.clustering import order_states, sigma_intra
-from marketstates.corrmat import EpochSpec, coarse_grain, pipeline_matrices, rolling_correlations
+from marketstates.corrmat import EpochSpec, coarse_grain, pipeline_stacks, rolling_correlations
 from marketstates.ingest import log_returns
 from marketstates.synth import RegimeSpec, generate_block_market
 
@@ -35,9 +35,10 @@ with np.printoptions(precision=3, suppress=True):
 print("diagonal entries sit near the planted intra level 0.2, "
       "off-diagonal near the inter level 0.05\n")
 
-stock_mats = pipeline_matrices(returns, epochs, 0.0, None)
+# one pass over the epochs writes the stock-level and the sector-level
+# row of each epoch from the same correlation matrix
+stock_mats, sector_mats = pipeline_stacks(returns, epochs, [(0.0, False), (0.0, True)], sectors)
 stock_states = order_states(sigma_intra(stock_mats, 2, 20, 0).best, stock_mats)
-sector_mats = pipeline_matrices(returns, epochs, 0.0, sectors)
 sector_states = order_states(sigma_intra(sector_mats, 2, 20, 0).best, sector_mats)
 
 agree = float((stock_states.states == sector_states.states).mean())

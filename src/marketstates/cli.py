@@ -3,7 +3,9 @@
 Subcommands: states, optimize, transitions, mds, synth. Options come
 from flags or an optional ``--config`` file of ``key=value`` lines
 (flags win). Each command checks its options, computes, and returns its
-artifacts as ``{file name: text}``; ``main`` writes them, then
+artifacts as ``{file name: text}``. The state commands (states,
+transitions, mds) each build one ``StateRun`` and hand it, or the parts
+they need, to pure artifact builders. ``main`` writes the artifacts, then
 ``run_meta.json``, only after the command has returned, so a command
 that fails writes no artifact. With a fixed seed every artifact is
 byte-identical across runs and thread counts; wall-clock information
@@ -22,6 +24,7 @@ import math
 import os
 import sys
 import time
+from collections import namedtuple
 from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
@@ -78,24 +81,22 @@ def _float_list(text: str) -> list[float]:
     decimals so artifacts show 0.3, not 0.30000000000000004."""
     text = text.strip()
     if ":" in text:
-        lo_s, hi_s, step_s = text.split(":")
-        lo, hi, step = float(lo_s), float(hi_s), float(step_s)
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ValueError("expected lo:hi:step")
+        lo, hi, step = map(float, parts)
         # a nan or infinite bound never ends the loop below
         if not all(map(math.isfinite, (lo, hi, step))):
             raise ValueError("range bounds and step must be finite")
         if step <= 0:
             raise ValueError("step must be positive")
         vals = []
-        i = 0
-        while True:
+        for i in range(_MAX_RANGE_VALUES + 1):
             v = round(lo + i * step, 12)
             if v > hi + 1e-9:
-                break
+                return vals
             vals.append(v)
-            if len(vals) > _MAX_RANGE_VALUES:
-                raise ValueError(_TOO_LONG)
-            i += 1
-        return vals
+        raise ValueError(_TOO_LONG)
     return [float(x) for x in text.split(",") if x.strip()]
 
 
@@ -103,8 +104,10 @@ def _int_list(text: str) -> list[int]:
     """``a,b,c`` or inclusive ``lo:hi``."""
     text = text.strip()
     if ":" in text:
-        lo_s, hi_s = text.split(":")
-        lo, hi = int(lo_s), int(hi_s)
+        parts = text.split(":")
+        if len(parts) != 2:
+            raise ValueError("expected lo:hi")
+        lo, hi = map(int, parts)
         if hi < lo:
             raise ValueError("range upper bound below lower bound")
         if hi - lo >= _MAX_RANGE_VALUES:
@@ -239,20 +242,20 @@ def _prepare_data(cfg):
     return returns, sectors, spec
 
 
-def _state_pipeline(cfg, returns, sectors, spec):
-    mats = pipeline_matrices(returns, spec, cfg.epsilon, sectors)
-    result = sigma_intra(
-        mats, cfg.k, cfg.n_init, cfg.seed,
-        metric=cfg.metric, threads=cfg.threads,
-    )
-    seq = order_states(result.best, mats)
-    return mats, result, seq
+# one pipeline's clustered epochs: the epoch stack, its sigma_intra result
+# and the ordered state sequence; the artifact builders below read it
+StateRun = namedtuple("StateRun", "stack result seq")
 
 
-def cmd_states(cfg) -> dict[str, str]:
-    check_k(cfg.k)
-    check_epsilon(cfg.epsilon)
-    _, result, seq = _state_pipeline(cfg, *_prepare_data(cfg))
+def _state_run(cfg, returns, sectors, spec) -> StateRun:
+    stack = pipeline_matrices(returns, spec, cfg.epsilon, sectors)
+    result = sigma_intra(stack, cfg.k, cfg.n_init, cfg.seed,
+                         metric=cfg.metric, threads=cfg.threads)
+    return StateRun(stack, result, order_states(result.best, stack))
+
+
+def _states_artifacts(cfg, run) -> dict[str, str]:
+    _, result, seq = run
     lines = ["epoch_end,state"]
     for end, state in zip(seq.epoch_ends, seq.states):
         lines.append(f"{end.isoformat()},{int(state)}")
@@ -276,6 +279,20 @@ def cmd_states(cfg) -> dict[str, str]:
         "states.csv": "\n".join(lines) + "\n",
         "states_summary.json": json.dumps(summary, indent=2, sort_keys=True) + "\n",
     }
+
+
+def _transitions_artifact(seq, stride, damping, seed) -> dict[str, str]:
+    states = seq.states[::stride]
+    t = transition_matrix(states, k=seq.k)
+    eq = equilibrium_distribution(t, damping=damping)
+    report = markovianity_check(states, BootstrapPolicy(seed=seed), k=seq.k)
+    return {"transitions.json": transitions_json(t, eq, report)}
+
+
+def cmd_states(cfg) -> dict[str, str]:
+    check_k(cfg.k)
+    check_epsilon(cfg.epsilon)
+    return _states_artifacts(cfg, _state_run(cfg, *_prepare_data(cfg)))
 
 
 def cmd_optimize(cfg) -> dict[str, str]:
@@ -305,21 +322,17 @@ def cmd_transitions(cfg) -> dict[str, str]:
             f"--stride {cfg.stride} keeps {kept} of {epochs} epochs; the "
             "Markov check needs at least 3 states"
         )
-    _, _, seq = _state_pipeline(cfg, returns, sectors, spec)
-    states = seq.states[:: cfg.stride]
-    t = transition_matrix(states, k=seq.k)
-    eq = equilibrium_distribution(t, damping=cfg.damping)
-    report = markovianity_check(states, BootstrapPolicy(seed=cfg.seed), k=seq.k)
-    return {"transitions.json": transitions_json(t, eq, report)}
+    seq = _state_run(cfg, returns, sectors, spec).seq
+    return _transitions_artifact(seq, cfg.stride, cfg.damping, cfg.seed)
 
 
 def cmd_mds(cfg) -> dict[str, str]:
     check_k(cfg.k)
     check_epsilon(cfg.epsilon)
-    mats, _, seq = _state_pipeline(cfg, *_prepare_data(cfg))
-    dm = distance_matrix(mats, threads=cfg.threads)
+    run = _state_run(cfg, *_prepare_data(cfg))
+    dm, seq = distance_matrix(run.stack, threads=cfg.threads), run.seq
     # the stack is not needed again; freeing it lowers the scaling's peak
-    del mats
+    del run
     emb = classical_mds(dm, 3, states=seq.states, epoch_ends=seq.epoch_ends)
     return {"embedding.csv": embedding_table(emb), "embedding.svg": embedding_svg(emb)}
 
@@ -348,32 +361,18 @@ def cmd_synth(cfg) -> dict[str, str]:
 
 # subcommand -> (handler, help, option names in --help order)
 _COMMANDS: dict[str, tuple] = {
-    "states": (
-        cmd_states,
-        "fixed (k, epsilon) state sequence from a price table",
-        (*_DATA_OPTIONS, "epsilon", "k"),
-    ),
-    "optimize": (
-        cmd_optimize,
-        "sigma_intra scan over the (k, epsilon) grid",
-        (*_DATA_OPTIONS, "epsilon_grid", "k_range", "k_min"),
-    ),
-    "transitions": (
-        cmd_transitions,
-        "state sequence plus transition matrix, equilibrium, Markov checks",
-        (*_DATA_OPTIONS, "epsilon", "k", "stride", "damping"),
-    ),
-    "mds": (
-        cmd_mds,
-        "3D classical scaling of the epoch matrices",
-        (*_DATA_OPTIONS, "epsilon", "k"),
-    ),
-    "synth": (
-        cmd_synth,
-        "generate a planted block market",
-        ("out", "config", "seed", "epoch", "sector_sizes", "intra", "inter",
-         "durations", "noise"),
-    ),
+    "states": (cmd_states, "fixed (k, epsilon) state sequence from a price table",
+               (*_DATA_OPTIONS, "epsilon", "k")),
+    "optimize": (cmd_optimize, "sigma_intra scan over the (k, epsilon) grid",
+                 (*_DATA_OPTIONS, "epsilon_grid", "k_range", "k_min")),
+    "transitions": (cmd_transitions,
+                    "state sequence plus transition matrix, equilibrium, Markov checks",
+                    (*_DATA_OPTIONS, "epsilon", "k", "stride", "damping")),
+    "mds": (cmd_mds, "3D classical scaling of the epoch matrices",
+            (*_DATA_OPTIONS, "epsilon", "k")),
+    "synth": (cmd_synth, "generate a planted block market",
+              ("out", "config", "seed", "epoch", "sector_sizes", "intra", "inter",
+               "durations", "noise")),
 }
 
 

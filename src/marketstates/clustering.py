@@ -328,7 +328,7 @@ def optimize_states(
     epsilon. Per-cell failures are recorded, not raised; matrix building
     errors (a degenerate column, an unmapped ticker) raise. With sectors
     one ``pipeline_stacks`` pass builds every small Guhr column; at stock
-    level one full column is built at a time.
+    level each column takes its own pass, so one is alive at a time.
     """
     check_seed(seed)
     eps_list = [float(e) for e in epsilon_grid]
@@ -338,19 +338,20 @@ def optimize_states(
     check_threads(threads)
     check_metric(metric)
 
-    guhr = None if sectors is None else pipeline_stacks(returns, spec, eps_list, sectors)
+    columns = [(eps, sectors is not None) for eps in eps_list]
+    passes = [columns] if sectors is not None else [[c] for c in columns]
     cells: list[GridCell] = []
-    for j, eps in enumerate(eps_list):
-        mats = guhr[j] if guhr is not None else pipeline_stacks(returns, spec, [eps])[0]
-        for k in k_list:
-            try:
-                res = sigma_intra(mats, k, n_init, seed, metric=metric, threads=threads)
-                cells.append(GridCell(k, eps, res.sigma_intra, res.mean_d_intra))
-            except MarketStatesError as exc:
-                cells.append(
-                    GridCell(k, eps, float("nan"), float("nan"),
-                             f"{type(exc).__name__}: {exc}")
-                )
+    for batch in passes:
+        for (eps, _), mats in zip(batch, pipeline_stacks(returns, spec, batch, sectors)):
+            for k in k_list:
+                try:
+                    res = sigma_intra(mats, k, n_init, seed, metric=metric, threads=threads)
+                    cells.append(GridCell(k, eps, res.sigma_intra, res.mean_d_intra))
+                except MarketStatesError as exc:
+                    cells.append(
+                        GridCell(k, eps, float("nan"), float("nan"),
+                                 f"{type(exc).__name__}: {exc}")
+                    )
         # a rebound name would keep this column alive while the next is built
         del mats
 

@@ -260,36 +260,40 @@ def _block_average(sectors: SectorMap, tickers):
     return step
 
 
-def pipeline_stacks(returns: ReturnTable, spec: EpochSpec, epsilons: list[float],
+def pipeline_stacks(returns: ReturnTable, spec: EpochSpec, columns: list[tuple[float, bool]],
                     sectors: SectorMap | None = None) -> list[MatrixStack]:
-    """The canonical epoch pipeline, one stack per ε: per epoch one
-    :func:`epoch_correlation`, then for each ε the power map and, given
-    sectors, the coarse graining of that row, with the bits of the
-    per-epoch chain. A sector pipeline never holds a stock-level stack.
-    """
-    for eps in epsilons:
+    """The canonical epoch pipeline, one stack per ``(epsilon, coarse)``
+    column: per epoch one :func:`epoch_correlation`, then for each column
+    the power map and, if coarse, the coarse graining by ``sectors`` of
+    that row, with the bits of the per-epoch chain. All columns share each
+    epoch's correlation; a coarse column builds no stock-level stack."""
+    for eps, _ in columns:
         check_epsilon(eps)
     count = spec.window_count(returns.n_rows)
-    kind, dim, labels, step = CorrMatrix, len(returns.tickers), returns.tickers, None
-    if sectors is not None:
+    forms = {False: (CorrMatrix, len(returns.tickers), returns.tickers)}
+    if any(coarse for _, coarse in columns):
+        if sectors is None:
+            raise ValidationError("a coarse column needs a sector map")
         # an unmapped ticker fails here, before any epoch is computed
         step = _block_average(sectors, returns.tickers)
-        kind, dim, labels = GuhrMatrix, sectors.n_sectors, sectors.sectors
-    data = [np.empty((count, packed.packed_length(dim))) for _ in epsilons]
+        forms[True] = (GuhrMatrix, sectors.n_sectors, sectors.sectors)
+    shapes = [forms[coarse] for _, coarse in columns]
+    data = [np.empty((count, packed.packed_length(dim))) for _, dim, _ in shapes]
     ends = []
     for i in range(count):
         c = epoch_correlation(returns, i * spec.shift, spec, epoch_index=i)
         ends.append(c.epoch_end)
-        for out, eps in zip(data, epsilons):
+        for out, (eps, coarse) in zip(data, columns):
             row = c.data if eps == 0.0 else _power_row(c.data, eps)
-            out[i] = row if step is None else step(row)
-    return [MatrixStack(kind, dim, d, tuple(ends), labels) for d in data]
+            out[i] = step(row) if coarse else row
+    return [MatrixStack(kind, dim, d, tuple(ends), labels)
+            for (kind, dim, labels), d in zip(shapes, data)]
 
 
 def rolling_correlations(returns: ReturnTable, spec: EpochSpec) -> MatrixStack:
     """All epoch correlation matrices, ``(rows - length) // shift + 1`` of
     them, written row by row into one stack by :func:`epoch_correlation`."""
-    return pipeline_stacks(returns, spec, [0.0])[0]
+    return pipeline_stacks(returns, spec, [(0.0, False)])[0]
 
 
 def power_map(matrix, epsilon: float):
@@ -362,14 +366,10 @@ def average_correlation(matrix):
     return float(matrix.data[mask].mean())
 
 
-def pipeline_matrices(
-    returns: ReturnTable,
-    spec: EpochSpec,
-    epsilon: float = 0.0,
-    sectors: SectorMap | None = None,
-) -> MatrixStack:
+def pipeline_matrices(returns: ReturnTable, spec: EpochSpec, epsilon: float = 0.0,
+                      sectors: SectorMap | None = None) -> MatrixStack:
     """The canonical epoch pipeline as one stack: correlation, power map,
     then coarse graining when a sector map is given; the one-ε case of
     :func:`pipeline_stacks`, so it builds no stack but the one it returns.
     """
-    return pipeline_stacks(returns, spec, [epsilon], sectors)[0]
+    return pipeline_stacks(returns, spec, [(epsilon, sectors is not None)], sectors)[0]

@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from datetime import date
 from pathlib import Path
 
@@ -340,12 +341,47 @@ def test_non_finite_range_bounds_fail_fast(option, value, source, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["command line", "config file"])
+@pytest.mark.parametrize("command, option, value, form", [
+    ("optimize", "epsilon-grid", "0:1", "lo:hi:step"),
+    ("optimize", "k-range", "2:3:1", "lo:hi"),
+    ("synth", "intra", "0:1:0.1:1", "lo:hi:step"),
+    ("synth", "durations", "1:2:3", "lo:hi"),
+])
+def test_malformed_ranges_name_their_form(command, option, value, form, source,
+                                          tmp_path, capsys):
+    """A range with the wrong number of parts says which form it needs;
+    it used to report Python's unpacking error."""
+    argv = [command]
+    if command == "optimize":
+        argv += ["--prices", tmp_path / "p.csv", "--k-min", 2]
+        argv += ["--k-range=2:3"] if option != "k-range" else ["--epsilon-grid=0"]
+    if source == "config file":
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{option}={value}\n")
+        argv += ["--config", config]
+    else:
+        argv.append(f"--{option}={value}")
+    out = tmp_path / "out"
+    assert _run([*argv, "--out", out]) == 1
+    assert (f"error[ValidationError]: bad value for --{option} (from {source}): "
+            f"expected {form}") in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------- transitions
 
-def test_transitions_payload(trans_out):
+def test_transitions_payload(trans_out, states_out):
     payload = json.loads((trans_out / "transitions.json").read_text())
     assert payload["k"] == 2
     counts = np.asarray(payload["counts"])
+    # the same options give the same state run: the counts are the lag-1
+    # pairs of the states command's sequence
+    _, states = _read_states(states_out)
+    pairs = np.zeros((2, 2), dtype=int)
+    for a, b in zip(states, states[1:]):
+        pairs[a - 1, b - 1] += 1
+    assert counts.tolist() == pairs.tolist()
     probs = np.asarray(payload["probs"])
     assert counts.shape == probs.shape == (2, 2)
     assert counts.sum() == N_EPOCHS - 1
@@ -616,20 +652,47 @@ def test_mds_artifacts(mds_out, states_out):
     assert "<circle" in svg and "axis 1" in svg
 
 
-def test_mds_threads_do_not_change_artifacts(market, tmp_path):
-    """Distance tiles and restarts split over threads; the embedding
-    matches byte for byte across thread counts."""
+@pytest.mark.parametrize("command, artifacts", [
+    ("states", ("states.csv", "states_summary.json")),
+    ("transitions", ("transitions.json",)),
+    ("mds", ("embedding.csv", "embedding.svg")),
+], ids=["states", "transitions", "mds"])
+def test_state_commands_threads_do_not_change_artifacts(command, artifacts, market,
+                                                        tmp_path):
+    """Restarts, and for mds the distance tiles, split over threads; every
+    artifact matches byte for byte across thread counts."""
     outs = []
     for threads in (1, 3):
         d = tmp_path / f"t{threads}"
         rc = _run([
-            "mds", "--prices", market / "prices.csv", "--out", d,
+            command, "--prices", market / "prices.csv", "--out", d,
             "--k", 2, "--n-init", 4, "--seed", 0, "--threads", threads,
         ])
         assert rc == 0
-        outs.append([(d / name).read_bytes()
-                     for name in ("embedding.csv", "embedding.svg")])
+        outs.append([(d / name).read_bytes() for name in artifacts])
     assert outs[0] == outs[1]
+
+
+def test_mds_frees_the_stack_before_scaling(market, tmp_path, monkeypatch):
+    """The epoch stack is released before classical scaling starts, so the
+    scaling's n x n buffer does not stack on top of it. Checked through
+    the array that owns the stack's memory, with no garbage collection,
+    so it holds however an interpreter releases call arguments."""
+    owners = []
+    distance_matrix, classical_mds = cli.distance_matrix, cli.classical_mds
+
+    def distances(stack, threads):
+        owners.append(weakref.ref(stack.data.base))
+        return distance_matrix(stack, threads=threads)
+
+    def scaling(*args, **kwargs):
+        assert len(owners) == 1 and owners[0]() is None, "the stack is still alive"
+        return classical_mds(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "distance_matrix", distances)
+    monkeypatch.setattr(cli, "classical_mds", scaling)
+    assert _run(["mds", "--prices", market / "prices.csv", "--out", tmp_path,
+                 "--k", 2, "--n-init", 2, "--seed", 0]) == 0
 
 
 def test_mds_failing_after_its_table_writes_nothing(market, tmp_path, monkeypatch, capsys):

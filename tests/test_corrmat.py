@@ -479,6 +479,8 @@ def test_pipeline_matrices_with_sectors_yields_guhr():
     mats = pipeline_matrices(rt, EpochSpec(20, 1), epsilon=0.3, sectors=sm)
     assert all(isinstance(m, GuhrMatrix) for m in mats)
     assert mats[0].dim == 2
+    with pytest.raises(ValidationError, match="a coarse column needs a sector map"):
+        pipeline_stacks(rt, EpochSpec(20, 1), [(0.0, False), (0.3, True)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -489,39 +491,41 @@ def test_pipeline_matrices_with_sectors_yields_guhr():
         elements=st.floats(-0.1, 0.1, allow_subnormal=False),
     ),
     shift=st.integers(1, 3),
-    epsilons=st.lists(st.sampled_from([0.0, 0.3, 1.0]), min_size=1, max_size=3),
-    with_sectors=st.booleans(),
+    columns=st.lists(st.tuples(st.sampled_from([0.0, 0.3, 1.0]), st.booleans()),
+                     min_size=1, max_size=3),
 )
-def test_pipeline_stack_rows_equal_per_epoch_chain(returns, shift, epsilons, with_sectors):
-    """Each ε column of one builder pass holds, bit for bit, what the
-    per-epoch chain epoch_correlation -> power_map -> coarse_grain gives
-    each epoch; pipeline_matrices is its first column."""
+def test_pipeline_stack_rows_equal_per_epoch_chain(returns, shift, columns):
+    """Each (ε, coarse) column of one builder pass, stock and sector
+    columns mixed, holds bit for bit what the per-epoch chain
+    epoch_correlation -> power_map [-> coarse_grain] gives each epoch;
+    pipeline_matrices is its first column."""
     rt = _return_table(returns)
     spec = EpochSpec(20, shift)
     sm = None
-    if with_sectors:
+    if any(coarse for _, coarse in columns):
         sm = _sector_map(dict(zip(rt.tickers, ("s1", "s1", "s2", "s2", "s2"))))
 
-    def chain(i, epsilon):
+    def chain(i, epsilon, coarse):
         m = power_map(epoch_correlation(rt, i * shift, spec, epoch_index=i), epsilon)
-        return m if sm is None else coarse_grain(m, sm)
+        return coarse_grain(m, sm) if coarse else m
 
     count = spec.window_count(rt.n_rows)
     try:
-        stacks = pipeline_stacks(rt, spec, epsilons, sm)
+        stacks = pipeline_stacks(rt, spec, columns, sm)
     except DegenerateColumn as exc:
         with pytest.raises(DegenerateColumn) as per_epoch:
             for i in range(count):
-                chain(i, epsilons[0])
+                chain(i, *columns[0])
         assert str(per_epoch.value) == str(exc)
         return
-    assert len(stacks) == len(epsilons)
-    first = pipeline_matrices(rt, spec, epsilons[0], sm)
+    assert len(stacks) == len(columns)
+    eps0, coarse0 = columns[0]
+    first = pipeline_matrices(rt, spec, eps0, sm if coarse0 else None)
     assert first.data.tobytes() == stacks[0].data.tobytes()
-    for stack, epsilon in zip(stacks, epsilons):
+    for stack, column in zip(stacks, columns):
         assert len(stack) == count
         for i, m in enumerate(stack):
-            want = chain(i, epsilon)
+            want = chain(i, *column)
             assert type(m) is type(want) is stack.kind
             assert (m.epoch_index, m.epoch_end) == (i, want.epoch_end)
             assert stack.data[i].tobytes() == want.data.tobytes()
@@ -547,12 +551,13 @@ def test_singleton_sector_warns_once_per_stack():
     rng = np.random.default_rng(23)
     rt = _return_table(rng.normal(size=(30, 3)), tickers=("a", "b", "c"))
     sm = _sector_map({"a": "s1", "b": "s1", "c": "s2"})
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        stack = pipeline_matrices(rt, EpochSpec(20, 1), 0.0, sm)
-    assert len(stack) == 11
-    assert (stack.data[:, packed.diagonal_positions(2)[1]] == 1.0).all()
-    assert sum(issubclass(w.category, SingletonSectorWarning) for w in caught) == 1
+    for columns in ([(0.0, True)], [(0.0, True), (0.0, False), (0.5, True)]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stack = pipeline_stacks(rt, EpochSpec(20, 1), columns, sm)[0]
+        assert len(stack) == 11
+        assert (stack.data[:, packed.diagonal_positions(2)[1]] == 1.0).all()
+        assert sum(issubclass(w.category, SingletonSectorWarning) for w in caught) == 1
 
 
 def test_matrix_stack_of_and_indexing():
