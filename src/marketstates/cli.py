@@ -178,7 +178,7 @@ def _read_config_file(path: str) -> list[tuple[str, str]]:
         text = p.read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise ValidationError(f"config file is not UTF-8 text: {path}") from None
-    pairs = []
+    pairs, lines = [], {}
     for i, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -186,7 +186,11 @@ def _read_config_file(path: str) -> list[tuple[str, str]]:
         if "=" not in body:
             raise ValidationError(f"config line {i} is not key=value: {line!r}")
         key, raw = body.split("=", 1)
-        pairs.append((key.strip().replace("-", "_"), raw.strip()))
+        key = key.strip().replace("-", "_")
+        if key in lines:
+            raise ValidationError(f"config key {key!r} is set on lines {lines[key]} and {i}")
+        lines[key] = i
+        pairs.append((key, raw.strip()))
     return pairs
 
 

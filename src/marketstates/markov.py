@@ -61,23 +61,21 @@ def _state_array(seq, k: int | None) -> tuple[np.ndarray, int]:
     return states, k
 
 
-def _normalize_rows(counts: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Row-normalize; all-zero rows become uniform and are flagged."""
-    k = counts.shape[0]
-    row_sums = counts.sum(axis=1, dtype=np.float64)
-    dangling = tuple(int(i) + 1 for i in np.flatnonzero(row_sums == 0))
-    safe = np.where(row_sums == 0, 1.0, row_sums)
-    probs = counts / safe[:, None]
-    if dangling:
-        probs[row_sums == 0] = 1.0 / k
-    return probs, dangling
-
-
-def _pair_counts(states: np.ndarray, k: int, lag: int) -> np.ndarray:
-    src = states[:-lag] - 1
-    dst = states[lag:] - 1
-    flat = np.bincount(src * k + dst, minlength=k * k)
-    return flat.reshape(k, k)
+def _lag_counts(block: np.ndarray, k: int, lag: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Lag pair counts of every chain in a (chains, length) block of 1-based
+    states, from one bincount over chain-offset codes. Returns the counts
+    (chains, k, k), their row-normalized probabilities (an all-zero row
+    becomes uniform) and the first chain's dangling states."""
+    n = block.shape[0]
+    codes = block[:, :-lag] * k
+    codes += block[:, lag:]
+    codes += (np.arange(n) * (k * k) - k - 1)[:, None]
+    counts = np.bincount(codes.ravel(), minlength=n * k * k).reshape(n, k, k)
+    row_sums = counts.sum(axis=2, dtype=np.float64)
+    empty = row_sums == 0
+    probs = counts / np.where(empty, 1.0, row_sums)[..., None]
+    probs[empty] = 1.0 / k
+    return counts, probs, tuple(int(i) + 1 for i in np.flatnonzero(empty[0]))
 
 
 def transition_matrix(seq, k: int | None = None) -> TransitionMatrix:
@@ -86,15 +84,9 @@ def transition_matrix(seq, k: int | None = None) -> TransitionMatrix:
     states, k = _state_array(seq, k)
     if states.size < 2:
         raise InsufficientSequence("need at least 2 states to count transitions")
-    counts = _pair_counts(states, k, lag=1)
-    probs, dangling = _normalize_rows(counts)
-    return TransitionMatrix(
-        k=k,
-        counts=counts,
-        probs=probs,
-        n_transitions=int(counts.sum()),
-        dangling=dangling,
-    )
+    counts, probs, dangling = _lag_counts(states[None], k, lag=1)
+    return TransitionMatrix(k=k, counts=counts[0], probs=probs[0],
+                            n_transitions=int(counts.sum()), dangling=dangling)
 
 
 MAX_SQUARINGS = 64
@@ -158,10 +150,7 @@ class MarkovianityReport:
     threshold: float
     passed: bool
     row_tv: tuple[float, ...]
-    n_boot: int
-    quantile: float
-    seed: int
-    note: str = MARKOVIANITY_NOTE
+    policy: BootstrapPolicy
 
 
 def two_step_matrix(seq, k: int | None = None) -> np.ndarray:
@@ -169,16 +158,26 @@ def two_step_matrix(seq, k: int | None = None) -> np.ndarray:
     states, k = _state_array(seq, k)
     if states.size < 3:
         raise InsufficientSequence("need at least 3 states for two-step pairs")
-    probs, _ = _normalize_rows(_pair_counts(states, k, lag=2))
-    return probs
+    return _lag_counts(states[None], k, lag=2)[1][0]
 
 
-def _two_step_tv(states: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _two_step_tv(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-row total-variation distance between the lag-2 matrix T2 and
-    P^2, and the fitted one-step matrix P."""
-    p = transition_matrix(states, k=k).probs
-    t2 = two_step_matrix(states, k=k)
-    return 0.5 * np.abs(t2 - p @ p).sum(axis=1), p
+    P^2 of every chain in the block, (chains, k), and the fitted one-step
+    matrices P, (chains, k, k)."""
+    p = _lag_counts(block, k, lag=1)[1]
+    t2 = _lag_counts(block, k, lag=2)[1]
+    return 0.5 * np.abs(t2 - p @ p).sum(axis=2), p
+
+
+def check_probs(probs) -> np.ndarray:
+    """The row-stochastic array of a TransitionMatrix or a plain array."""
+    p = probs.probs if isinstance(probs, TransitionMatrix) else np.asarray(probs, float)
+    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+        raise ValidationError("transition probabilities must be square")
+    if (p < 0).any() or np.abs(p.sum(axis=1) - 1.0).max() > 1e-9:
+        raise ValidationError("transition matrix rows must sum to 1")
+    return p
 
 
 def sample_chain_block(
@@ -193,12 +192,16 @@ def sample_chain_block(
     per-row CDF for every chain at once, so cost scales with
     length x n_chains but the Python loop only with length.
     """
-    k = probs.shape[0]
-    cum = np.cumsum(probs, axis=1)
+    cum = np.cumsum(check_probs(probs), axis=1)
+    k = cum.shape[0]
+    if length < 1:
+        raise ParameterRange(f"length must be >= 1, got {length}")
+    if starts.size and (starts.min() < 1 or starts.max() > k):
+        raise ValidationError(f"start states must lie in 1..{k}")
     n = starts.shape[0]
     out = np.empty((n, length), dtype=np.int64)
     out[:, 0] = starts
-    u = rng.random((n, length - 1)) if length > 1 else np.empty((n, 0))
+    u = rng.random((n, length - 1))
     for step in range(1, length):
         rows = cum[out[:, step - 1] - 1]
         nxt = (u[:, step - 1, None] >= rows).sum(axis=1)
@@ -229,25 +232,23 @@ def markovianity_check(
         raise ParameterRange(f"n_boot must be >= 1, got {policy.n_boot}")
     check_seed(policy.seed)
 
-    row_tv, probs = _two_step_tv(states, k)
+    row_tv, probs = _two_step_tv(states[None], k)
     statistic = float(row_tv.max())
 
     rng = np.random.default_rng(policy.seed)
     freq = np.bincount(states - 1, minlength=k) / states.size
     starts = rng.choice(k, size=policy.n_boot, p=freq) + 1
-    block = sample_chain_block(probs, states.size, starts, rng)
+    block = sample_chain_block(probs[0], states.size, starts, rng)
 
-    boot = np.array([_two_step_tv(chain, k)[0].max() for chain in block])
+    boot = _two_step_tv(block, k)[0].max(axis=1)
     threshold = float(np.quantile(boot, policy.quantile))
 
     return MarkovianityReport(
         statistic=statistic,
         threshold=threshold,
         passed=statistic <= threshold,
-        row_tv=tuple(float(x) for x in row_tv),
-        n_boot=policy.n_boot,
-        quantile=policy.quantile,
-        seed=policy.seed,
+        row_tv=tuple(float(x) for x in row_tv[0]),
+        policy=policy,
     )
 
 
@@ -271,10 +272,8 @@ def transitions_json(
             "threshold": report.threshold,
             "pass": report.passed,
             "row_tv": list(report.row_tv),
-            "n_boot": report.n_boot,
-            "quantile": report.quantile,
-            "seed": report.seed,
-            "note": report.note,
+            **report.policy._asdict(),
+            "note": MARKOVIANITY_NOTE,
         },
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -16,11 +16,12 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .errors import InvalidRegime, ParameterRange, ValidationError
+from .errors import InvalidRegime, ValidationError
 from .ingest import PriceTable, SectorMap
 from .markov import (
     StateSequence,
     TransitionMatrix,
+    check_probs,
     equilibrium_distribution,
     sample_chain_block,
 )
@@ -157,23 +158,12 @@ def regime_truth_csv(table: PriceTable, day_labels: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _probs_of(probs) -> np.ndarray:
-    p = probs.probs if isinstance(probs, TransitionMatrix) else np.asarray(probs, float)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ValidationError("transition probabilities must be square")
-    if (p < 0).any() or np.abs(p.sum(axis=1) - 1.0).max() > 1e-9:
-        raise ValidationError("transition matrix rows must sum to 1")
-    return p
-
-
 def generate_markov_sequence(probs, length: int, seed: int) -> StateSequence:
     """Sample a chain whose first state is drawn from the equilibrium
     distribution; deterministic given the seed. Accepts a TransitionMatrix
     or a plain row-stochastic array."""
-    p = _probs_of(probs)
+    p = check_probs(probs)
     k = p.shape[0]
-    if length < 1:
-        raise ParameterRange(f"length must be >= 1, got {length}")
     check_seed(seed)
     zeros = np.zeros((k, k), dtype=np.int64)
     eq = equilibrium_distribution(TransitionMatrix(k, zeros, p, n_transitions=0))

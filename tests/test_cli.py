@@ -838,6 +838,19 @@ def test_config_bad_line(market, tmp_path, capsys):
     assert "not key=value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, key", [("k=2\nseed=1\nk=5\n", "k"),
+                                       ("n-init=3\nseed=1\nn_init=4\n", "n_init")])
+def test_config_key_set_twice(market, tmp_path, capsys, text, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    rc = _run(["states", "--prices", market / "prices.csv",
+               "--out", out, "--config", cfg])
+    assert rc == 1
+    assert f"config key '{key}' is set on lines 1 and 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_missing(market, tmp_path, capsys):
     rc = _run(["states", "--prices", market / "prices.csv",
                "--out", tmp_path / "out", "--config", tmp_path / "nope.cfg"])

@@ -15,6 +15,7 @@ from marketstates.errors import (
     ValidationError,
 )
 from marketstates.markov import (
+    MARKOVIANITY_NOTE,
     MAX_SQUARINGS,
     BootstrapPolicy,
     EquilibriumVector,
@@ -327,10 +328,10 @@ def _per_chain_sampler(probs, length, starts, rng):
 
 
 @st.composite
-def _chain_rows(draw):
+def _chain_rows(draw, max_k=6):
     """A k x k matrix whose rows are random with zeros, absorbing, or
     sticky (a dominant diagonal)."""
-    k = draw(st.integers(1, 6))
+    k = draw(st.integers(1, max_k))
     rows = []
     for i in range(k):
         kind = draw(st.sampled_from(["random", "absorbing", "sticky"]))
@@ -365,6 +366,65 @@ def test_sample_chain_block_equals_per_chain_reference(probs, length, n_chains, 
     np.testing.assert_array_equal(got, want)
 
 
+def test_sample_chain_block_rejects_bad_input():
+    p = np.array([[0.7, 0.3], [0.4, 0.6]])
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValidationError, match="start states must lie in 1..2"):
+        sample_chain_block(p, 5, np.array([0]), rng)
+    with pytest.raises(ValidationError, match="start states must lie in 1..2"):
+        sample_chain_block(p, 5, np.array([1, 3]), rng)
+    with pytest.raises(ParameterRange, match="length must be >= 1"):
+        sample_chain_block(p, 0, np.array([1]), rng)
+    with pytest.raises(ValidationError, match="rows must sum to 1"):
+        sample_chain_block(np.array([[0.7, 0.4], [0.4, 0.6]]), 5, np.array([1]), rng)
+    with pytest.raises(ValidationError, match="must be square"):
+        sample_chain_block(np.array([[0.5, 0.5]]), 5, np.array([1]), rng)
+
+
+def _per_chain_check(states, policy, k):
+    """The bootstrap one chain at a time: a transition_matrix and a
+    two_step_matrix fit for each resampled chain, then its max row TV."""
+    def row_tv(chain):
+        p = transition_matrix(chain, k=k).probs
+        return 0.5 * np.abs(two_step_matrix(chain, k=k) - p @ p).sum(axis=1)
+
+    observed = row_tv(states)
+    rng = np.random.default_rng(policy.seed)
+    freq = np.bincount(states - 1, minlength=k) / states.size
+    starts = rng.choice(k, size=policy.n_boot, p=freq) + 1
+    fitted = transition_matrix(states, k=k).probs
+    block = sample_chain_block(fitted, states.size, starts, rng)
+    boot = np.array([row_tv(chain).max() for chain in block])
+    return float(observed.max()), float(np.quantile(boot, policy.quantile)), observed
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    probs=_chain_rows(max_k=10),
+    length=st.integers(3, 300),
+    start=st.integers(1, 10),
+    n_boot=st.integers(1, 50),
+    quantile=st.sampled_from([0.05, 0.5, 0.95]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# state 1 is left at once, state 2 absorbs and state 3 is never entered: row 3
+# dangles, and so does row 1 in every resampled chain that starts in state 2
+@example(probs=np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]]),
+         length=20, start=1, n_boot=5, quantile=0.95, seed=1)
+def test_markovianity_block_equals_per_chain_reference(probs, length, start, n_boot,
+                                                       quantile, seed):
+    k = probs.shape[0]
+    states = sample_chain_block(probs, length, np.array([(start - 1) % k + 1]),
+                                np.random.default_rng(seed))[0]
+    policy = BootstrapPolicy(n_boot=n_boot, quantile=quantile, seed=seed)
+    report = markovianity_check(states, policy, k=k)
+    statistic, threshold, row_tv = _per_chain_check(states, policy, k)
+    assert report.statistic == statistic
+    assert report.threshold == threshold
+    assert report.row_tv == tuple(float(x) for x in row_tv)
+    assert report.policy == policy
+
+
 def test_sample_chain_frequencies_match_equilibrium():
     p = np.array([[0.9, 0.1], [0.2, 0.8]])
     rng = np.random.default_rng(7)
@@ -389,4 +449,5 @@ def test_transitions_json_payload():
     assert mk["pass"] == report.passed
     assert mk["statistic"] == report.statistic
     assert mk["threshold"] == report.threshold
-    assert mk["note"]
+    assert (mk["n_boot"], mk["quantile"], mk["seed"]) == (30, 0.95, 1)
+    assert mk["note"] == MARKOVIANITY_NOTE
