@@ -1,0 +1,161 @@
+"""Alternating before/after runs of the benchmark from two checkouts.
+
+Usage:
+    python3 bench/pairs.py PARENT_DIR CHANGE_DIR [--workload W] [--seed S]
+                           [--pairs N] [--trace 0|1] [--out FILE]
+
+Each pair runs ``perfbench/run.py`` once in each checkout, with that
+checkout's own sources, one after the other; the parent goes first in
+even pairs and the change in odd ones, so a drift of the machine over
+the run falls on both sides alike. From every run it takes the metrics of
+the final JSON line (plus ``failed_frac``) and, from the per-job stderr
+lines, the median CPU seconds of a job (``job_cpu_s``), which
+BENCHMARK.json does not define and which is supporting evidence only.
+
+For each metric it prints both sides' medians and quartiles, how many
+pairs the change won (better in the metric's BENCHMARK.json direction),
+and whether the gap between the medians exceeds the parent's
+interquartile range. An A/A run, which measures the noise floor, gives
+the same directory twice. ``--out`` writes every run's values and the
+summary as JSON.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+JOB_LINE = re.compile(
+    r"^job \d+ market \d+ traced (?P<traced>[01]): (?P<wall>[\d.]+) s wall, "
+    r"(?P<cpu>[\d.]+) s cpu, (?P<mb>[\d.]+) MB"
+)
+SIDES = ("parent", "change")
+
+
+def parse_run(stdout: str, stderr: str) -> dict:
+    """metric -> value for one perfbench run: the last JSON line's metrics,
+    ``failed_frac``, and the median CPU seconds of the untraced jobs; and
+    under ``env`` the run's machine, library versions and src/ line count."""
+    lines = stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    values["failed_frac"] = result["failed"] / result["attempted"]
+    values["env"] = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
+    cpu = [float(m["cpu"]) for m in map(JOB_LINE.match, stderr.splitlines())
+           if m and m["traced"] == "0"]
+    if cpu:
+        values["job_cpu_s"] = statistics.median(cpu)
+    return values
+
+
+def order(pair: int) -> tuple[str, str]:
+    """Which side runs first in a pair: the parent in even pairs."""
+    return SIDES if pair % 2 == 0 else SIDES[::-1]
+
+
+def run_checkout(directory: Path, argv: list[str]) -> tuple[str, str]:
+    """stdout and stderr of one ``perfbench/run.py`` run in ``directory``."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", *argv], cwd=directory,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout, proc.stderr
+
+
+def run_pairs(dirs: dict[str, Path], argv: list[str], pairs: int,
+              run=run_checkout) -> list[dict[str, dict]]:
+    """One {side: metrics} dict per pair, sides in alternating order."""
+    out = []
+    for i in range(pairs):
+        pair = {}
+        for side in order(i):
+            pair[side] = parse_run(*run(dirs[side], argv))
+            shown = {k: v for k, v in pair[side].items() if k != "env"}
+            print(f"pair {i} {side}: {json.dumps(shown)}", file=sys.stderr, flush=True)
+        out.append(pair)
+    return out
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(q1, median, q3), linear interpolation between order statistics."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def summarize(pairs: list[dict[str, dict]], lower_is_better: dict[str, bool]) -> dict:
+    """Per metric: each side's quartiles, the change's wins, and whether
+    the median gap exceeds the parent's interquartile range."""
+    summary = {}
+    names = [n for n, v in pairs[0]["parent"].items() if isinstance(v, (int, float))
+             and all(n in p[s] for p in pairs for s in SIDES)]
+    for name in names:
+        lower = lower_is_better.get(name, True)
+        sides = {s: quartiles([p[s][name] for p in pairs]) for s in SIDES}
+        wins = sum((p["change"][name] < p["parent"][name]) == lower
+                   and p["change"][name] != p["parent"][name] for p in pairs)
+        gap = sides["change"][1] - sides["parent"][1]
+        summary[name] = {
+            "parent": sides["parent"],
+            "change": sides["change"],
+            "change_wins": wins,
+            "pairs": len(pairs),
+            "gap": gap,
+            "gap_frac": gap / sides["parent"][1] if sides["parent"][1] else None,
+            "gap_exceeds_parent_iqr": abs(gap) > sides["parent"][2] - sides["parent"][0],
+        }
+    return summary
+
+
+def directions(checkout: Path) -> dict[str, bool]:
+    """metric -> lower is better, from the checkout's BENCHMARK.json."""
+    spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] == "lower"
+            for m in spec["end_to_end"] + spec["per_layer"]}
+
+
+def report(summary: dict) -> str:
+    lines = [f"{'metric':<40} {'parent q1/med/q3':>30} {'change q1/med/q3':>30} "
+             f"{'gap':>8} {'wins':>6} >iqr"]
+    for name, s in summary.items():
+        fmt = "/".join(f"{v:.4g}" for v in s["parent"]), "/".join(f"{v:.4g}" for v in s["change"])
+        frac = "" if s["gap_frac"] is None else f"{100 * s['gap_frac']:+.1f}%"
+        lines.append(f"{name:<40} {fmt[0]:>30} {fmt[1]:>30} {frac:>8} "
+                     f"{s['change_wins']:>3}/{s['pairs']:<2} {'yes' if s['gap_exceeds_parent_iqr'] else 'no'}")
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", default="transitions-pearson")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--out", type=Path, help="write runs and summary as JSON")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bench_argv = ["--workload", args.workload, "--seed", str(args.seed),
+                  "--trace", str(args.trace)]
+    pairs = run_pairs(dirs, bench_argv, args.pairs)
+    summary = summarize(pairs, directions(dirs["parent"]))
+    print(f"{args.workload}, seed {args.seed}, trace {args.trace}: {args.pairs} pairs, "
+          f"parent {dirs['parent']}, change {dirs['change']}")
+    print(report(summary))
+    if args.out is not None:
+        args.out.write_text(json.dumps({
+            "workload": args.workload, "seed": args.seed, "trace": args.trace,
+            "pairs": pairs, "summary": summary,
+        }, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

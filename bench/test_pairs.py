@@ -1,0 +1,128 @@
+"""Tests of the pair runner on canned benchmark output, with no child runs.
+
+Run with ``python3 -m pytest bench``.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+import pairs
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _stdout(job_s: float, failed: int = 0, attempted: int = 6) -> str:
+    result = {
+        "correct": failed == 0,
+        "attempted": attempted,
+        "failed": failed,
+        "metrics": {
+            "job_s": {"value": job_s, "unit": "s"},
+            "peak_rss_mb": {"value": 230.5, "unit": "MB"},
+            "setup_s": {"value": 0.12, "unit": "s"},
+        },
+    }
+    return (
+        "workload transitions-pearson: seed 0, 6 jobs in a closed loop (1 client) over 3 "
+        "markets, trace 0\n"
+        'env {"nproc": 2, "seed": 0}\n'
+        f"  job_s {job_s:>14.6g} s        n=6\n"
+        + json.dumps(result) + "\n"
+    )
+
+
+STDERR = (
+    "set-up market 0: 0.118 s\n"
+    "job 0 market 0 traced 0: 3.412 s wall, 5.10 s cpu, 231 MB\n"
+    "job 1 market 0 traced 1: 3.901 s wall, 5.90 s cpu, 240 MB\n"
+    "set-up market 1: 0.121 s\n"
+    "job 2 market 1 traced 0: 3.100 s wall, 4.70 s cpu, 229 MB, FAILED: exit code 1\n"
+    "job 3 market 1 traced 0: 3.300 s wall, 4.90 s cpu, 230 MB\n"
+)
+
+
+def test_parse_run_reads_the_last_json_line_and_untraced_job_cpu():
+    values = pairs.parse_run(_stdout(3.25, failed=1), STDERR)
+    assert values == {
+        "job_s": 3.25,
+        "peak_rss_mb": 230.5,
+        "setup_s": 0.12,
+        "failed_frac": 1 / 6,
+        "job_cpu_s": 4.9,  # median of 5.10, 4.70 and 4.90; the traced job is left out
+        "env": {"nproc": 2, "seed": 0},
+    }
+
+
+def test_parse_run_without_job_lines_has_no_cpu_metric():
+    assert "job_cpu_s" not in pairs.parse_run(_stdout(3.0), "set-up market 0: 0.1 s\n")
+
+
+def test_pairs_alternate_which_side_runs_first():
+    calls = []
+    wall = {"parent": 3.5, "change": 3.0}
+
+    def fake_run(directory, argv):
+        calls.append(directory.name)
+        assert argv == ["--workload", "w", "--seed", "1"]
+        return _stdout(wall[directory.name]), STDERR
+
+    dirs = {"parent": Path("/x/parent"), "change": Path("/x/change")}
+    out = pairs.run_pairs(dirs, ["--workload", "w", "--seed", "1"], 3, run=fake_run)
+    assert calls == ["parent", "change", "change", "parent", "parent", "change"]
+    assert [p["change"]["job_s"] for p in out] == [3.0, 3.0, 3.0]
+    assert [p["parent"]["job_s"] for p in out] == [3.5, 3.5, 3.5]
+
+
+def test_an_aa_run_is_one_directory_twice():
+    calls = []
+
+    def fake_run(directory, argv):
+        calls.append(directory)
+        return _stdout(3.0), STDERR
+
+    same = Path("/x/one")
+    out = pairs.run_pairs({"parent": same, "change": same}, [], 2, run=fake_run)
+    assert calls == [same] * 4
+    summary = pairs.summarize(out, {})
+    assert "env" not in summary
+    assert summary["job_s"]["change_wins"] == 0
+    assert summary["job_s"]["gap"] == 0.0
+
+
+def _pairs(parent, change, name="job_s"):
+    return [{"parent": {name: a}, "change": {name: b}} for a, b in zip(parent, change)]
+
+
+def test_summary_quartiles_wins_and_resolution():
+    runs = _pairs([3.0, 3.2, 3.4, 3.6, 3.8], [2.9, 3.1, 3.2, 3.7, 3.0])
+    s = pairs.summarize(runs, {"job_s": True})["job_s"]
+    assert s["parent"] == pytest.approx((3.2, 3.4, 3.6))
+    assert s["change"] == pytest.approx((3.0, 3.1, 3.2))
+    assert s["change_wins"] == 4  # pair 3 is the loss
+    assert s["gap"] == pytest.approx(-0.3)
+    assert s["gap_frac"] == pytest.approx(-0.3 / 3.4)
+    assert s["gap_exceeds_parent_iqr"] is False  # 0.3 against an IQR of 0.4
+    runs = _pairs([3.3, 3.4, 3.4, 3.4, 3.5], [3.0, 3.0, 3.1, 3.0, 3.0])
+    assert pairs.summarize(runs, {"job_s": True})["job_s"]["gap_exceeds_parent_iqr"] is True
+
+
+def test_summary_follows_each_metric_direction_and_skips_ties():
+    runs = _pairs([0.5, 0.5, 0.5], [0.6, 0.5, 0.4], name="converged_frac")
+    s = pairs.summarize(runs, {"converged_frac": False})["converged_frac"]
+    assert s["change_wins"] == 1
+
+
+def test_directions_come_from_the_benchmark_file():
+    lower = pairs.directions(ROOT)
+    assert lower["job_s"] is True and lower["peak_rss_mb"] is True
+    assert lower["clustering.kmeans.converged_frac"] is False
+
+
+def test_report_has_a_row_per_metric():
+    runs = [{"parent": {"job_s": 3.0, "setup_s": 0.1}, "change": {"job_s": 2.0, "setup_s": 0.1}}]
+    text = pairs.report(pairs.summarize(runs, {}))
+    rows = text.splitlines()
+    assert len(rows) == 3
+    assert rows[1].startswith("job_s") and "-33.3%" in rows[1] and "1/1" in rows[1]

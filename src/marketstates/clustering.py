@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import csc_array
 from scipy.spatial.distance import cdist
 
 from .corrmat import (
@@ -58,6 +58,9 @@ _METRICS = {
     "l2": ("sqeuclidean", np.sqrt),
 }
 MAX_ITER = 300
+# bytes of points per k-means distance tile: small enough to stay in the
+# last-level cache, large enough that cdist's per-call cost does not count
+TILE_BYTES = 1 << 24
 
 
 def _packed_rows(matrices) -> np.ndarray:
@@ -104,20 +107,33 @@ def thread_map(fn, items, threads: int) -> list:
 def _cluster_means(pts: np.ndarray, assign: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Per-cluster row means as one (k, n) membership product over ``pts``.
 
-    Row g of the sparse matrix holds a 1 at each member of cluster g in
-    index order, so the product adds each cluster's rows in index order
+    Column j of the sparse matrix holds a single 1 in row ``assign[j]``,
+    so it is built from the assignment as it is, with no sort. The CSC
+    product walks the columns in index order and adds row j of ``pts`` to
+    its cluster's sum, so each cluster's rows are added in index order
     starting from 0.0 without copying them out of ``pts``. For rows of two
     or more entries that is exactly ``pts[assign == g].mean(axis=0)``; for
     one entry numpy sums pairwise, so the last bit may differ. Every
     cluster must be nonempty.
     """
     n = assign.shape[0]
-    members = csr_array(
-        (np.ones(n), np.argsort(assign, kind="stable"),
-         np.concatenate(([0], np.cumsum(sizes)))),
-        shape=(sizes.shape[0], n),
-    )
+    members = csc_array((np.ones(n), assign, np.arange(n + 1)), shape=(sizes.shape[0], n))
     return members @ pts / sizes[:, None]
+
+
+def _centroid_distances(centroids: np.ndarray, pts: np.ndarray, kind: str) -> np.ndarray:
+    """The (k, n) distances from every centroid to every point.
+
+    One ``cdist(centroids, tile)`` call per tile of consecutive points of
+    about ``TILE_BYTES``, so the tile stays in cache while each centroid
+    row passes over it.
+    """
+    n, p = pts.shape
+    rows = max(4, TILE_BYTES // (8 * max(p, 1)))
+    dist = np.empty((centroids.shape[0], n))
+    for lo in range(0, n, rows):
+        dist[:, lo:lo + rows] = cdist(centroids, pts[lo:lo + rows], kind)
+    return dist
 
 
 @dataclass(frozen=True)
@@ -155,11 +171,25 @@ def kmeans(
     empty cluster is repaired by seizing the point currently farthest
     from its own centroid (points that are sole members stay put).
     d_intra is the mean point-to-assigned-centroid distance under the
-    active metric.
+    active metric. Points that are not finite make the first pass's mean
+    own distance nan or inf, and raise ``ValidationError`` there.
 
     Each iteration reads the points twice, once for the distances and
     once for the centroid update by a sparse membership product; no
     cluster's rows are copied, so the run's extra memory is O(n k + k P).
+
+    The centroids go first in every distance pass. scipy's cityblock
+    kernel interleaves four rows of its second operand, so with the
+    points second it sums four points at once, where k = 3 centroids
+    second leave each sum to run alone. Every distance is still one
+    sequential sum over P, so the bits are those of
+    ``cdist(pts, centroids)``. Centroids first, each centroid row streams
+    the whole second operand, so the points go in tiles of about
+    ``TILE_BYTES`` that stay in cache (``_centroid_distances``); an
+    untiled pass at P = 20,100 was up to 93% slower than points first.
+    The tiles fill the last-level cache rather than L2: at P = 1,830 a
+    1 MB tile needs 50 ``cdist`` calls a pass, and two restart threads
+    took about 15% longer with them than with 16 MB tiles.
     """
     pts = _packed_rows(matrices)
     n = pts.shape[0]
@@ -179,10 +209,12 @@ def kmeans(
 
     for _ in range(MAX_ITER):
         iterations += 1
-        dist = cdist(pts, centroids, kind)
-        new_assign = dist.argmin(axis=1)
-        own = to_distance(dist[np.arange(n), new_assign])
+        dist = _centroid_distances(centroids, pts, kind)
+        new_assign = dist.argmin(axis=0)
+        own = to_distance(dist.min(axis=0))
         history.append(float(own.mean()))
+        if not np.isfinite(history[-1]):
+            raise ValidationError("points must be finite")
 
         sizes = np.bincount(new_assign, minlength=k)
         for empty in np.flatnonzero(sizes == 0):
@@ -200,8 +232,8 @@ def kmeans(
         assign = new_assign
         centroids = _cluster_means(pts, assign, sizes)
 
-    final = cdist(pts, centroids, kind)
-    d_intra = float(to_distance(final[np.arange(n), assign]).mean())
+    final = _centroid_distances(centroids, pts, kind)
+    d_intra = float(to_distance(np.take_along_axis(final, assign[None], 0)).mean())
     return Clustering(
         k=k,
         assignments=assign,

@@ -279,20 +279,33 @@ def test_membership_means_equal_masked_means_bits(n, p, k, seed, repeats):
     assert got.tobytes() == want.tobytes()
 
 
+# 1 MB point tiles, so that test-sized arrays span several
+SMALL_TILE_BYTES = 1 << 20
+
+
+def _tile_rows(p: int) -> int:
+    return max(4, clustering.TILE_BYTES // (8 * p))
+
+
 @pytest.mark.parametrize("metric", ["l1", "l2"])
-def test_kmeans_equals_masked_lloyd_reference(metric):
+def test_kmeans_equals_masked_lloyd_reference(metric, monkeypatch):
     """Same assignments, centroid bits, d_intra, history and iteration
     count as the masked-mean loop, including runs that repair empty
-    clusters (few distinct rows, so start centroids coincide)."""
+    clusters (few distinct rows, so start centroids coincide). k runs
+    over 1-10, so both k % 4 == 0 and k % 4 != 0 meet the kernel; the
+    last cases span several point tiles, with a partial last tile."""
+    monkeypatch.setattr(clustering, "TILE_BYTES", SMALL_TILE_BYTES)
     rng = np.random.default_rng(12)
+    cases = [(int(rng.integers(8, 90)), int(rng.choice([2, 5, 45, 300]))) for _ in range(40)]
+    cases += [(int(rng.integers(650, 750)), int(rng.integers(1900, 2100))) for _ in range(4)]
     repairs = 0
-    for trial in range(40):
-        n = int(rng.integers(8, 90))
-        p = int(rng.choice([2, 5, 45, 300]))
+    tiled = 0
+    whole_blocks = set()
+    for trial, (n, p) in enumerate(cases):
         pts = _rough_values(rng, (n, p))
         if trial % 2:
             pts = pts[rng.integers(0, 3, size=n)]
-        k = int(rng.integers(1, min(n, 6) + 1))
+        k = int(rng.integers(1, min(n, 10) + 1))
         seed = int(rng.integers(1 << 31))
         assign, centroids, d_intra, history, iterations, fixed = (
             masked_lloyd_reference(pts, k, seed, metric)
@@ -304,7 +317,78 @@ def test_kmeans_equals_masked_lloyd_reference(metric):
         assert got.d_intra_history == history
         assert got.iterations == iterations
         repairs += fixed
+        tiled += n >= 3 * _tile_rows(p) and n % _tile_rows(p) != 0
+        whole_blocks.add(k % 4 == 0)
     assert repairs > 0
+    assert tiled == 4
+    assert whole_blocks == {True, False}
+
+
+def test_kmeans_evaluates_every_pair_once_per_pass(monkeypatch):
+    """Tiles split a pass, never repeat or drop a pair: the benchmark's
+    op count (iterations + 1) * n * k * P holds over several tiles."""
+    monkeypatch.setattr(clustering, "TILE_BYTES", SMALL_TILE_BYTES)
+    n, p, k = 301, 1000, 3
+    pts = _blobs([0.0, 1.0, 2.0], n // 3, p, 0.3, seed=5)
+    pts = np.vstack([pts, pts[:1]])
+    assert pts.shape[0] == n and n > 2 * _tile_rows(p) and n % _tile_rows(p)
+    evaluated = []
+    real_cdist = clustering.cdist
+
+    def counting_cdist(a, b, metric):
+        evaluated.append(a.shape[0] * b.shape[0] * a.shape[1])
+        return real_cdist(a, b, metric)
+
+    monkeypatch.setattr(clustering, "cdist", counting_cdist)
+    c = kmeans(pts, k, seed=0)
+    assert c.iterations >= 2
+    assert len(evaluated) == (c.iterations + 1) * -(-n // _tile_rows(p))
+    assert sum(evaluated) == (c.iterations + 1) * n * k * p
+
+
+def _with_bad_point(value, row=7):
+    pts = np.random.default_rng(18).normal(size=(50, 4))
+    pts[row, 2] = value
+    return pts
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("metric", ["l1", "l2"])
+def test_non_finite_point_fails_fast(value, metric):
+    """Before, a nan or inf point gave converged=True, d_intra=nan and a
+    48/1/1 partition; now the first pass raises."""
+    pts = _with_bad_point(value)
+    with pytest.raises(ValidationError, match="points must be finite"):
+        kmeans(pts, 3, seed=0, metric=metric)
+    with pytest.raises(ValidationError, match="points must be finite"):
+        sigma_intra(pts, 3, n_init=4, seed=0)
+
+
+def test_non_finite_start_centroid_fails_fast():
+    k, seed = 3, 4
+    start = np.random.default_rng(seed).choice(50, size=k, replace=False)
+    pts = _with_bad_point(np.inf, row=int(start[1]))
+    with pytest.raises(ValidationError, match="points must be finite"):
+        kmeans(pts, k, seed=seed)
+
+
+def test_optimize_records_non_finite_points_as_cell_errors(monkeypatch):
+    good = np.random.default_rng(19).normal(size=(40, 6))
+    bad = good.copy()
+    bad[3, 0] = np.nan
+
+    def stacks(returns, spec, columns, sectors=None):
+        return [bad if eps == 1.0 else good for eps, _ in columns]
+
+    monkeypatch.setattr(clustering, "pipeline_stacks", stacks)
+    rt = _return_table(44, 4, seed=17)
+    grid = optimize_states(rt, EpochSpec(20, 1), None, [0.0, 1.0], [2, 3], 2, 4, 0)
+    for k in (2, 3):
+        cell = grid.cell(k, 1.0)
+        assert cell.error == "ValidationError: points must be finite"
+        assert np.isnan(cell.sigma_intra)
+        assert grid.cell(k, 0.0).error is None
+    assert grid.chosen_epsilon == 0.0
 
 
 @pytest.mark.parametrize("metric", ["l1", "l2"])
