@@ -11,6 +11,9 @@ the run falls on both sides alike. From every run it takes the metrics of
 the final JSON line (plus ``failed_frac``) and, from the per-job stderr
 lines, the median CPU seconds of a job (``job_cpu_s``), which
 BENCHMARK.json does not define and which is supporting evidence only.
+That final line holds only the last workload's metrics, so ``W`` must be
+exactly one workload name from the parent's BENCHMARK.json: ``all`` or
+a comma list is refused.
 
 For each metric it prints both sides' medians and quartiles, how many
 pairs the change won (better in the metric's BENCHMARK.json direction),
@@ -111,11 +114,20 @@ def summarize(pairs: list[dict[str, dict]], lower_is_better: dict[str, bool]) ->
     return summary
 
 
+def _spec(checkout: Path) -> dict:
+    return json.loads((checkout / "BENCHMARK.json").read_text())
+
+
 def directions(checkout: Path) -> dict[str, bool]:
     """metric -> lower is better, from the checkout's BENCHMARK.json."""
-    spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    spec = _spec(checkout)
     return {m["name"]: m["better"] == "lower"
             for m in spec["end_to_end"] + spec["per_layer"]}
+
+
+def workloads(checkout: Path) -> list[str]:
+    """The workload names of the checkout's BENCHMARK.json."""
+    return [w["name"] for w in _spec(checkout)["workloads"]]
 
 
 def report(summary: dict) -> str:
@@ -142,6 +154,9 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    names = workloads(dirs["parent"])
+    if args.workload not in names:
+        parser.error(f"--workload must be one of {names}, got {args.workload!r}")
     bench_argv = ["--workload", args.workload, "--seed", str(args.seed),
                   "--trace", str(args.trace)]
     pairs = run_pairs(dirs, bench_argv, args.pairs)

@@ -126,3 +126,29 @@ def test_report_has_a_row_per_metric():
     rows = text.splitlines()
     assert len(rows) == 3
     assert rows[1].startswith("job_s") and "-33.3%" in rows[1] and "1/1" in rows[1]
+
+
+@pytest.mark.parametrize("workload", ["all", "transitions-pearson,grid-guhr", "nope"])
+def test_a_workload_that_is_not_one_benchmark_name_is_refused(workload, monkeypatch, capsys):
+    def no_run(*_):
+        raise AssertionError("no benchmark run may start")
+
+    monkeypatch.setattr(pairs, "run_pairs", no_run)
+    with pytest.raises(SystemExit) as exit_info:
+        pairs.main([str(ROOT), str(ROOT), "--workload", workload])
+    assert exit_info.value.code == 2
+    assert "--workload must be one of" in capsys.readouterr().err
+
+
+def test_each_benchmark_workload_is_accepted(monkeypatch, capsys):
+    seen = []
+
+    def fake_pairs(dirs, argv, n):
+        seen.append(argv[1])
+        return [{"parent": {"job_s": 3.0}, "change": {"job_s": 3.0}}]
+
+    monkeypatch.setattr(pairs, "run_pairs", fake_pairs)
+    names = pairs.workloads(ROOT)
+    for name in names:
+        assert pairs.main([str(ROOT), str(ROOT), "--workload", name, "--pairs", "1"]) == 0
+    assert seen == names == ["transitions-pearson", "grid-guhr", "embed-pearson"]

@@ -31,7 +31,6 @@ _EXPORTS = {
     "average_correlation": "corrmat",
     "coarse_grain": "corrmat",
     "epoch_correlation": "corrmat",
-    "matrix_distance": "corrmat",
     "pipeline_matrices": "corrmat",
     "power_map": "corrmat",
     "rolling_correlations": "corrmat",
@@ -74,6 +73,7 @@ _EXPORTS = {
     "distance_matrix": "mds",
     "embedding_svg": "mds",
     "embedding_table": "mds",
+    "matrix_distance": "mds",
     "RegimeSpec": "synth",
     "generate_block_market": "synth",
     "generate_markov_sequence": "synth",

@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from collections import namedtuple
@@ -180,7 +181,9 @@ def _read_config_file(path: str) -> list[tuple[str, str]]:
         raise ValidationError(f"config file is not UTF-8 text: {path}") from None
     pairs, lines = [], {}
     for i, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
+        # a comment starts at a line's first "#" that opens it or follows
+        # whitespace, so a path may hold one
+        body = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
         if not body:
             continue
         if "=" not in body:

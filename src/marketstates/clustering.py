@@ -185,11 +185,8 @@ def kmeans(
     sequential sum over P, so the bits are those of
     ``cdist(pts, centroids)``. Centroids first, each centroid row streams
     the whole second operand, so the points go in tiles of about
-    ``TILE_BYTES`` that stay in cache (``_centroid_distances``); an
-    untiled pass at P = 20,100 was up to 93% slower than points first.
-    The tiles fill the last-level cache rather than L2: at P = 1,830 a
-    1 MB tile needs 50 ``cdist`` calls a pass, and two restart threads
-    took about 15% longer with them than with 16 MB tiles.
+    ``TILE_BYTES`` that stay in the last-level cache
+    (``_centroid_distances``).
     """
     pts = _packed_rows(matrices)
     n = pts.shape[0]

@@ -16,11 +16,6 @@ and scaling read directly. Indexing a stack yields the per-epoch
 :class:`CorrMatrix` or :class:`GuhrMatrix` on a row view. Every
 pipeline's stacks come from :func:`pipeline_stacks`, which transforms
 each epoch's row as it is written, so no intermediate stack is built.
-
-Distances between matrices are L1 sums over the packed upper triangle.
-For correlation matrices the diagonal contributes nothing (both are 1);
-for Guhr matrices the diagonal is included deliberately, since
-intra-sector averages carry state information.
 """
 
 from __future__ import annotations
@@ -337,21 +332,6 @@ def coarse_grain(c, sectors: SectorMap):
     if isinstance(c, CorrMatrix):
         return GuhrMatrix(n_s, out[0], c.epoch_end, sectors.sectors, c.epoch_index)
     return MatrixStack(GuhrMatrix, n_s, out, stack.epoch_ends, sectors.sectors)
-
-
-def matrix_distance(a, b) -> float:
-    """L1 distance over the packed upper triangle of two same-kind matrices.
-
-    For correlation matrices the unit diagonals cancel, matching the
-    strict ``i < j`` sum; for Guhr matrices the diagonal differences count.
-    """
-    if type(a) is not type(b):
-        raise DimensionMismatch(
-            f"cannot compare {type(a).__name__} with {type(b).__name__}"
-        )
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return float(np.abs(a.data - b.data).sum())
 
 
 def average_correlation(matrix):

@@ -98,10 +98,24 @@ def check_damping(damping: float):
         raise ParameterRange(f"damping must be in [0, 1), got {damping}")
 
 
-def equilibrium_distribution(t: TransitionMatrix, damping: float = 0.0) -> EquilibriumVector:
+def check_probs(probs) -> np.ndarray:
+    """The row-stochastic array of a TransitionMatrix or a plain array;
+    a nonsquare or empty one, a negative entry, or a row that does not
+    sum to 1 (NaN included) raises ValidationError."""
+    p = probs.probs if isinstance(probs, TransitionMatrix) else np.asarray(probs, float)
+    if p.ndim != 2 or p.shape[0] != p.shape[1] or not p.size:
+        raise ValidationError("transition probabilities must be square, k >= 1")
+    if (p < 0).any() or not (np.abs(p.sum(axis=1) - 1.0) <= 1e-9).all():
+        raise ValidationError("transition matrix rows must sum to 1")
+    return p
+
+
+def equilibrium_distribution(t, damping: float = 0.0) -> EquilibriumVector:
     """Limit of the uniform start, (1/k) 1 P^n for growing n, so reducible
     aperiodic chains keep their limit. P is squared, rows renormalized,
     until a product moves by less than 1e-13; ``steps`` counts squarings.
+    ``t`` is a TransitionMatrix or a row-stochastic array, read through
+    :func:`check_probs`.
 
     An eigenvalue of modulus 1 other than 1 marks a periodic chain, which
     raises NonErgodic at once. The fix is a small damping (1e-3 biases pi
@@ -109,9 +123,9 @@ def equilibrium_distribution(t: TransitionMatrix, damping: float = 0.0) -> Equil
     P' = (1-damping) P + damping / k.
     """
     check_damping(damping)
-    p = t.probs
+    p = check_probs(t)
     if damping:
-        p = (1.0 - damping) * p + damping / t.k
+        p = (1.0 - damping) * p + damping / p.shape[0]
     lam = np.linalg.eigvals(p)
     if ((np.abs(np.abs(lam) - 1.0) < 1e-9) & (np.abs(lam - 1.0) >= 1e-9)).any():
         raise NonErgodic("the chain is periodic; retry with damping=1e-3")
@@ -168,16 +182,6 @@ def _two_step_tv(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     p = _lag_counts(block, k, lag=1)[1]
     t2 = _lag_counts(block, k, lag=2)[1]
     return 0.5 * np.abs(t2 - p @ p).sum(axis=2), p
-
-
-def check_probs(probs) -> np.ndarray:
-    """The row-stochastic array of a TransitionMatrix or a plain array."""
-    p = probs.probs if isinstance(probs, TransitionMatrix) else np.asarray(probs, float)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ValidationError("transition probabilities must be square")
-    if (p < 0).any() or np.abs(p.sum(axis=1) - 1.0).max() > 1e-9:
-        raise ValidationError("transition matrix rows must sum to 1")
-    return p
 
 
 def sample_chain_block(

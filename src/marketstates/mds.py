@@ -1,5 +1,13 @@
 """Classical (Torgerson) multidimensional scaling of the matrix cloud.
 
+The distance between two epoch matrices is the L1 sum of their entry
+differences over the packed upper triangle. Correlation diagonals are 1
+in both and cancel, so the sum is that of the strict ``i < j`` entries;
+Guhr diagonals count, since intra-sector averages carry state
+information. :func:`matrix_distance` is one entry of
+:func:`distance_matrix`, and both sum through scipy's cityblock kernel,
+as the k-means l1 passes do.
+
 The pairwise L1 distances between packed matrices are computed in row
 tiles of ``TILE_ROWS`` epochs, each written straight into packed
 storage, on the worker threads the caller passes (scipy's distance
@@ -152,6 +160,13 @@ def distance_matrix(matrices, threads: int = 1) -> DistanceMatrix:
 
     thread_map(tile, range(0, n, TILE_ROWS), threads)
     return DistanceMatrix(n=n, d=d)
+
+
+def matrix_distance(a, b) -> float:
+    """The L1 distance of two same-kind, same-dim matrices: the one
+    off-diagonal entry of ``distance_matrix([a, b])``, so it has the
+    table's bits. Mixed kinds or dims raise DimensionMismatch."""
+    return float(distance_matrix([a, b]).d[1])
 
 
 def _packed_gram(d: DistanceMatrix) -> np.ndarray:

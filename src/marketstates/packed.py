@@ -50,7 +50,7 @@ def pack(square: np.ndarray) -> np.ndarray:
     if square.ndim != 2 or square.shape[0] != square.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {square.shape}")
     rows, cols = upper_indices(square.shape[0])
-    return square[rows, cols].copy()
+    return square[rows, cols]
 
 
 def unpack(packed: np.ndarray, dim: int) -> np.ndarray:

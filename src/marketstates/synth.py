@@ -18,13 +18,7 @@ import numpy as np
 
 from .errors import InvalidRegime, ValidationError
 from .ingest import PriceTable, SectorMap
-from .markov import (
-    StateSequence,
-    TransitionMatrix,
-    check_probs,
-    equilibrium_distribution,
-    sample_chain_block,
-)
+from .markov import StateSequence, check_probs, equilibrium_distribution, sample_chain_block
 from .rng import check_seed
 
 START_DATE = date(2000, 1, 3)
@@ -165,8 +159,7 @@ def generate_markov_sequence(probs, length: int, seed: int) -> StateSequence:
     p = check_probs(probs)
     k = p.shape[0]
     check_seed(seed)
-    zeros = np.zeros((k, k), dtype=np.int64)
-    eq = equilibrium_distribution(TransitionMatrix(k, zeros, p, n_transitions=0))
+    eq = equilibrium_distribution(p)
 
     rng = np.random.default_rng(seed)
     start = rng.choice(k, p=eq.pi) + 1

@@ -809,6 +809,28 @@ def test_config_file_supplies_options(market, tmp_path):
     assert summary["seed"] == 7
 
 
+def test_config_hash_starts_a_comment_only_at_line_start_or_after_whitespace(
+        market, tmp_path):
+    hashed = tmp_path / "hash#dir"
+    hashed.mkdir()
+    (hashed / "prices.csv").write_bytes((market / "prices.csv").read_bytes())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"prices={hashed / 'prices.csv'}\n"
+        "# a whole-line comment\n"
+        "   # an indented one\n"
+        "k=2  # note\n"
+        "seed=7\t# note after a tab\n"
+    )
+    out = tmp_path / "out"
+    assert _run(["states", "--out", out, "--config", cfg]) == 0
+    summary = json.loads((out / "states_summary.json").read_text())
+    assert summary["k"] == 2
+    assert summary["seed"] == 7
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["config"]["prices"] == str(hashed / "prices.csv")
+
+
 def test_flag_overrides_config(market, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("k=2\nn-init=4\nseed=7\n")

@@ -19,7 +19,6 @@ from marketstates.corrmat import (
     average_correlation,
     coarse_grain,
     epoch_correlation,
-    matrix_distance,
     pipeline_matrices,
     pipeline_stacks,
     power_map,
@@ -34,6 +33,7 @@ from marketstates.errors import (
     ValidationError,
 )
 from marketstates.ingest import ReturnTable, SectorMap
+from marketstates.mds import matrix_distance
 
 # oracles, written independently of the implementation under test
 
@@ -399,6 +399,8 @@ def test_matrix_distance_rejects_mismatches():
                    sectors=("x", "y", "z"))
     with pytest.raises(DimensionMismatch):
         matrix_distance(a, g)
+    with pytest.raises(ValidationError, match="CorrMatrix or GuhrMatrix"):
+        matrix_distance(a, a.data)
 
 
 def test_average_correlation_values():

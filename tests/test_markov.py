@@ -200,6 +200,33 @@ def test_sticky_chains_match_dense_solve():
     assert worst <= 1e-12
 
 
+def test_equilibrium_checks_its_matrix_as_the_sampler_does():
+    """Each malformed matrix raises ValidationError, as a TransitionMatrix
+    and as a plain array; a well-formed plain array gives the bits of the
+    same TransitionMatrix."""
+    bad = [
+        ([[0.5, 0.5]], "must be square"),
+        (np.zeros((0, 0)), "must be square"),
+        ([[1.2, -0.2], [0.5, 0.5]], "rows must sum to 1"),
+        ([[0.6, 0.5], [0.5, 0.5]], "rows must sum to 1"),
+        ([[np.nan, 0.5], [0.5, 0.5]], "rows must sum to 1"),
+    ]
+    for probs, message in bad:
+        probs = np.asarray(probs, dtype=float)
+        hand = TransitionMatrix(k=probs.shape[0], counts=np.zeros(probs.shape, dtype=np.int64),
+                                probs=probs, n_transitions=0)
+        for t in (hand, probs):
+            with pytest.raises(ValidationError, match=message):
+                equilibrium_distribution(t)
+    p = np.array([[0.9, 0.1], [0.2, 0.8]])
+    for damping in (0.0, 1e-3):
+        from_array = equilibrium_distribution(p.tolist(), damping=damping)
+        from_matrix = equilibrium_distribution(_tm(p), damping=damping)
+        assert from_array.pi.tobytes() == from_matrix.pi.tobytes()
+        assert from_array.steps == from_matrix.steps
+    np.testing.assert_allclose(equilibrium_distribution(p).pi, [2 / 3, 1 / 3], atol=1e-10)
+
+
 def test_equilibrium_damping_range():
     t = _tm([[0.9, 0.1], [0.2, 0.8]])
     for bad in (-0.1, 1.0):

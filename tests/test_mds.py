@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -27,6 +28,7 @@ from marketstates.mds import (
     distance_matrix,
     embedding_svg,
     embedding_table,
+    matrix_distance,
 )
 from marketstates.synth import RegimeSpec, generate_block_market
 import marketstates as ms
@@ -141,6 +143,32 @@ def test_tiled_distances_equal_pdist_bits(n, threads, dim, seed, repeats):
     got = distance_matrix(_stack(points, dim), threads=threads)
     assert got.n == n
     assert got.d.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from([CorrMatrix, GuhrMatrix]),
+    n=st.integers(2, 6),
+    dim=st.sampled_from([2, 5, 12, 30]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matrix_distance_is_the_distance_table_entry_bit_for_bit(kind, n, dim, seed):
+    """Entries in [-1, 1] over eight decades, so a sum in another order
+    than the table's shows in the last bits; a correlation stack has
+    unit diagonals, a Guhr stack any."""
+    rng = np.random.default_rng(seed)
+    shape = (n, packed.packed_length(dim))
+    rows = rng.uniform(-1.0, 1.0, shape) * 10.0 ** -rng.integers(0, 8, size=shape)
+    if kind is CorrMatrix:
+        rows[:, packed.diagonal_positions(dim)] = 1.0
+    stack = _stack(rows, dim)
+    if kind is GuhrMatrix:
+        stack = replace(stack, kind=GuhrMatrix, labels=tuple(f"s{i}" for i in range(dim)))
+    table = distance_matrix(stack).full()
+    for i in range(n):
+        for j in range(n):
+            got = matrix_distance(stack[i], stack[j])
+            assert np.float64(got).tobytes() == table[i, j].tobytes(), (i, j)
 
 
 def _unpack_reference(d: np.ndarray, n: int) -> np.ndarray:
