@@ -21,6 +21,12 @@ and whether the gap between the medians exceeds the parent's
 interquartile range. An A/A run, which measures the noise floor, gives
 the same directory twice. ``--out`` writes every run's values and the
 summary as JSON.
+
+A run whose result line reports ``"correct": false`` (some job's outputs
+failed perfbench's checks) stops the runner: it prints the pair, the side
+and the failed/attempted job count to stderr and exits 1, so a side that
+computes wrong answers cannot show up as a gain. ``--out`` then holds the
+runs made so far and the reason.
 """
 
 from __future__ import annotations
@@ -40,12 +46,25 @@ JOB_LINE = re.compile(
 SIDES = ("parent", "change")
 
 
+class FailedRun(Exception):
+    """A run whose result line reports ``"correct": false``. ``runs`` holds
+    the pairs run before it, the failing pair's finished side included."""
+
+    def __init__(self, message: str, runs: list[dict[str, dict]] | None = None):
+        super().__init__(message)
+        self.runs = runs
+
+
 def parse_run(stdout: str, stderr: str) -> dict:
     """metric -> value for one perfbench run: the last JSON line's metrics,
     ``failed_frac``, and the median CPU seconds of the untraced jobs; and
-    under ``env`` the run's machine, library versions and src/ line count."""
+    under ``env`` the run's machine, library versions and src/ line count.
+    A run whose checks failed raises FailedRun."""
     lines = stdout.strip().splitlines()
     result = json.loads(lines[-1])
+    if not result["correct"]:
+        raise FailedRun(f"{result['failed']}/{result['attempted']} jobs failed "
+                        "their checks")
     values = {name: m["value"] for name, m in result["metrics"].items()}
     values["failed_frac"] = result["failed"] / result["attempted"]
     values["env"] = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
@@ -70,12 +89,18 @@ def run_checkout(directory: Path, argv: list[str]) -> tuple[str, str]:
 
 def run_pairs(dirs: dict[str, Path], argv: list[str], pairs: int,
               run=run_checkout) -> list[dict[str, dict]]:
-    """One {side: metrics} dict per pair, sides in alternating order."""
+    """One {side: metrics} dict per pair, sides in alternating order. The
+    first run whose checks failed raises FailedRun, naming its pair and
+    side and carrying the runs made until then."""
     out = []
     for i in range(pairs):
         pair = {}
         for side in order(i):
-            pair[side] = parse_run(*run(dirs[side], argv))
+            try:
+                pair[side] = parse_run(*run(dirs[side], argv))
+            except FailedRun as exc:
+                done = out + [pair] if pair else out
+                raise FailedRun(f"pair {i} {side}: {exc}", done) from None
             shown = {k: v for k, v in pair[side].items() if k != "env"}
             print(f"pair {i} {side}: {json.dumps(shown)}", file=sys.stderr, flush=True)
         out.append(pair)
@@ -159,17 +184,23 @@ def main(argv=None) -> int:
         parser.error(f"--workload must be one of {names}, got {args.workload!r}")
     bench_argv = ["--workload", args.workload, "--seed", str(args.seed),
                   "--trace", str(args.trace)]
-    pairs = run_pairs(dirs, bench_argv, args.pairs)
-    summary = summarize(pairs, directions(dirs["parent"]))
-    print(f"{args.workload}, seed {args.seed}, trace {args.trace}: {args.pairs} pairs, "
-          f"parent {dirs['parent']}, change {dirs['change']}")
-    print(report(summary))
+    doc = {"workload": args.workload, "seed": args.seed, "trace": args.trace}
+    try:
+        pairs = run_pairs(dirs, bench_argv, args.pairs)
+    except FailedRun as exc:
+        print(f"stopped: {exc}", file=sys.stderr)
+        doc.update(pairs=exc.runs, failed=str(exc))
+        rc = 1
+    else:
+        summary = summarize(pairs, directions(dirs["parent"]))
+        print(f"{args.workload}, seed {args.seed}, trace {args.trace}: {args.pairs} pairs, "
+              f"parent {dirs['parent']}, change {dirs['change']}")
+        print(report(summary))
+        doc.update(pairs=pairs, summary=summary)
+        rc = 0
     if args.out is not None:
-        args.out.write_text(json.dumps({
-            "workload": args.workload, "seed": args.seed, "trace": args.trace,
-            "pairs": pairs, "summary": summary,
-        }, indent=1) + "\n")
-    return 0
+        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return rc
 
 
 if __name__ == "__main__":

@@ -44,15 +44,20 @@ STDERR = (
 
 
 def test_parse_run_reads_the_last_json_line_and_untraced_job_cpu():
-    values = pairs.parse_run(_stdout(3.25, failed=1), STDERR)
+    values = pairs.parse_run(_stdout(3.25), STDERR)
     assert values == {
         "job_s": 3.25,
         "peak_rss_mb": 230.5,
         "setup_s": 0.12,
-        "failed_frac": 1 / 6,
+        "failed_frac": 0.0,
         "job_cpu_s": 4.9,  # median of 5.10, 4.70 and 4.90; the traced job is left out
         "env": {"nproc": 2, "seed": 0},
     }
+
+
+def test_parse_run_refuses_a_run_whose_checks_failed():
+    with pytest.raises(pairs.FailedRun, match="^1/6 jobs failed their checks$"):
+        pairs.parse_run(_stdout(3.25, failed=1), STDERR)
 
 
 def test_parse_run_without_job_lines_has_no_cpu_metric():
@@ -152,3 +157,35 @@ def test_each_benchmark_workload_is_accepted(monkeypatch, capsys):
     for name in names:
         assert pairs.main([str(ROOT), str(ROOT), "--workload", name, "--pairs", "1"]) == 0
     assert seen == names == ["transitions-pearson", "grid-guhr", "embed-pearson"]
+
+
+@pytest.mark.parametrize("failing_call, where, done", [
+    (1, "pair 0 parent", []),
+    (3, "pair 1 change", [2]),  # pair 1 runs the change first
+    (4, "pair 1 parent", [2, 1]),
+])
+def test_a_failed_run_stops_the_runner_and_out_keeps_the_runs_so_far(
+        failing_call, where, done, tmp_path, monkeypatch, capsys):
+    """The runner exits 1 naming the pair, side and failed/attempted count;
+    ``--out`` holds every finished run and no summary."""
+    calls = []
+
+    def fake_run(directory, argv):
+        calls.append(directory)
+        return _stdout(3.0, failed=2 if len(calls) == failing_call else 0), STDERR
+
+    real = pairs.run_pairs
+    monkeypatch.setattr(pairs, "run_pairs", lambda d, a, n: real(d, a, n, run=fake_run))
+    out = tmp_path / "runs.json"
+    rc = pairs.main([str(ROOT), str(ROOT), "--workload", "grid-guhr", "--pairs", "3",
+                     "--out", str(out)])
+    assert rc == 1
+    assert len(calls) == failing_call  # nothing runs after the failed run
+    message = f"{where}: 2/6 jobs failed their checks"
+    captured = capsys.readouterr()
+    assert f"stopped: {message}" in captured.err
+    assert captured.out == ""  # no summary table
+    doc = json.loads(out.read_text())
+    assert [len(p) for p in doc["pairs"]] == done
+    assert doc["failed"] == message
+    assert "summary" not in doc

@@ -25,8 +25,7 @@ epochs = EpochSpec(length=20, shift=1)
 mats = pipeline_matrices(returns, epochs, 0.0, None)
 
 seq = order_states(sigma_intra(mats, 3, 20, 0).best, mats)
-emb = classical_mds(distance_matrix(mats), 3,
-                    states=seq.states, epoch_ends=seq.epoch_ends)
+emb = classical_mds(distance_matrix(mats), 3)
 
 print(f"{emb.n} epochs embedded in {emb.dim} dimensions")
 print(f"captured fraction of positive eigenvalue mass: {emb.captured:.3f}")
@@ -34,5 +33,5 @@ for axis in (1, 2, 3):
     print(f"  axis {axis}: {emb.axis_fraction(axis):.1%}")
 
 out = Path(__file__).with_name("embedding.svg")
-out.write_text(embedding_svg(emb), encoding="utf-8")
+out.write_text(embedding_svg(emb, seq), encoding="utf-8")
 print(f"wrote {out}")

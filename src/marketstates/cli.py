@@ -45,6 +45,7 @@ from .clustering import (
 from .corrmat import EpochSpec, check_epsilon, pipeline_matrices
 from .errors import (
     ComputationError,
+    InsufficientData,
     InsufficientSequence,
     MarketStatesError,
     ParameterRange,
@@ -255,6 +256,9 @@ StateRun = namedtuple("StateRun", "stack result seq")
 
 
 def _state_run(cfg, returns, sectors, spec) -> StateRun:
+    epochs = spec.window_count(returns.n_rows)
+    if cfg.k > epochs:
+        raise InsufficientData(f"k={cfg.k} exceeds {epochs} matrices")
     stack = pipeline_matrices(returns, spec, cfg.epsilon, sectors)
     result = sigma_intra(stack, cfg.k, cfg.n_init, cfg.seed,
                          metric=cfg.metric, threads=cfg.threads)
@@ -336,12 +340,19 @@ def cmd_transitions(cfg) -> dict[str, str]:
 def cmd_mds(cfg) -> dict[str, str]:
     check_k(cfg.k)
     check_epsilon(cfg.epsilon)
-    run = _state_run(cfg, *_prepare_data(cfg))
+    returns, sectors, spec = _prepare_data(cfg)
+    epochs = spec.window_count(returns.n_rows)
+    if epochs < 4:
+        raise InsufficientData(f"mds needs at least 4 epochs for 3 axes, got {epochs}")
+    run = _state_run(cfg, returns, sectors, spec)
+    # what is not needed again is freed: the returns before the distances,
+    # the stack before the scaling, so neither adds to their peaks
+    del returns, sectors
     dm, seq = distance_matrix(run.stack, threads=cfg.threads), run.seq
-    # the stack is not needed again; freeing it lowers the scaling's peak
     del run
-    emb = classical_mds(dm, 3, states=seq.states, epoch_ends=seq.epoch_ends)
-    return {"embedding.csv": embedding_table(emb), "embedding.svg": embedding_svg(emb)}
+    emb = classical_mds(dm, 3)
+    return {"embedding.csv": embedding_table(emb, seq),
+            "embedding.svg": embedding_svg(emb, seq)}
 
 
 def cmd_synth(cfg) -> dict[str, str]:

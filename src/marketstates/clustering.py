@@ -147,7 +147,6 @@ class Clustering:
     seed: int
     iterations: int
     converged: bool
-    metric: str = "l1"
     d_intra_history: tuple[float, ...] = ()
 
     @property
@@ -239,7 +238,6 @@ def kmeans(
         seed=seed,
         iterations=iterations,
         converged=converged,
-        metric=metric,
         d_intra_history=tuple(history),
     )
 

@@ -61,11 +61,11 @@ def _state_array(seq, k: int | None) -> tuple[np.ndarray, int]:
     return states, k
 
 
-def _lag_counts(block: np.ndarray, k: int, lag: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+def _lag_counts(block: np.ndarray, k: int, lag: int) -> tuple[np.ndarray, np.ndarray]:
     """Lag pair counts of every chain in a (chains, length) block of 1-based
     states, from one bincount over chain-offset codes. Returns the counts
-    (chains, k, k), their row-normalized probabilities (an all-zero row
-    becomes uniform) and the first chain's dangling states."""
+    (chains, k, k) and their row-normalized probabilities (an all-zero row
+    becomes uniform)."""
     n = block.shape[0]
     codes = block[:, :-lag] * k
     codes += block[:, lag:]
@@ -75,7 +75,7 @@ def _lag_counts(block: np.ndarray, k: int, lag: int) -> tuple[np.ndarray, np.nda
     empty = row_sums == 0
     probs = counts / np.where(empty, 1.0, row_sums)[..., None]
     probs[empty] = 1.0 / k
-    return counts, probs, tuple(int(i) + 1 for i in np.flatnonzero(empty[0]))
+    return counts, probs
 
 
 def transition_matrix(seq, k: int | None = None) -> TransitionMatrix:
@@ -84,7 +84,8 @@ def transition_matrix(seq, k: int | None = None) -> TransitionMatrix:
     states, k = _state_array(seq, k)
     if states.size < 2:
         raise InsufficientSequence("need at least 2 states to count transitions")
-    counts, probs, dangling = _lag_counts(states[None], k, lag=1)
+    counts, probs = _lag_counts(states[None], k, lag=1)
+    dangling = tuple(int(i) + 1 for i in np.flatnonzero(counts[0].sum(axis=1) == 0))
     return TransitionMatrix(k=k, counts=counts[0], probs=probs[0],
                             n_transitions=int(counts.sum()), dangling=dangling)
 

@@ -8,20 +8,16 @@ information. :func:`matrix_distance` is one entry of
 :func:`distance_matrix`, and both sum through scipy's cityblock kernel,
 as the k-means l1 passes do.
 
-The pairwise L1 distances between packed matrices are computed in row
-tiles of ``TILE_ROWS`` epochs, each written straight into packed
-storage, on the worker threads the caller passes (scipy's distance
-kernels release the GIL). A tile's cityblock call runs the stack from
-the tile's first row down against the tile's own rows, so the large
-operand is read once per tile while the tile's rows stay in cache. Every
-pair goes through the same cityblock sum whatever the tiling or thread
-count, so the distances are bit-identical across both.
+The pairwise table is computed in row tiles on the caller's worker
+threads (scipy's distance kernels release the GIL). Every pair goes
+through the same cityblock sum whatever the tiling or thread count, so
+the distances are bit-identical across both. ``classical_mds`` builds
+the double-centred Gram matrix in place in the distances' packed
+buffer, so scaling holds one n(n+1)/2 buffer from distances to
+embedding.
 
-``classical_mds`` consumes its ``DistanceMatrix``: the double-centred
-Gram matrix is built in place in the distances' packed buffer, so
-scaling holds one packed n(n+1)/2 buffer from the distances to the
-embedding. From ``DENSE_CUTOFF`` points on, the eigensolver multiplies
-by it there.
+Scaling returns coordinates only. The renderers read each point's state
+and epoch end from the ``StateSequence`` they are given.
 
 These distances are generally not Euclidean-realizable, so the
 double-centered Gram matrix can have negative eigenvalues. Those are
@@ -38,7 +34,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from datetime import date
 
 import numpy as np
 from scipy.linalg.blas import dspmv
@@ -49,6 +44,7 @@ from . import packed
 from .clustering import thread_map
 from .corrmat import MatrixStack
 from .errors import DegradedRankWarning, ParameterRange, ValidationError
+from .markov import StateSequence
 
 PALETTE = (
     "#1b9e77", "#d95f02", "#7570b3", "#e7298a",
@@ -117,8 +113,6 @@ class Embedding:
     eigenvalues: tuple[float, ...]
     positive_mass: float
     captured: float
-    states: np.ndarray | None = None
-    epoch_ends: tuple[date, ...] | None = None
 
     @property
     def n(self) -> int:
@@ -140,8 +134,9 @@ def distance_matrix(matrices, threads: int = 1) -> DistanceMatrix:
 
     Rows go in tiles of ``TILE_ROWS``; one cityblock call per tile gives
     the distances of every row from the tile's first on to the tile's
-    rows, one column per tile row, and each column's entries below the
-    diagonal go to that row's packed offsets. The tiles run on
+    rows, one column per tile row, so the large operand is read once per
+    tile while the tile's rows stay in cache. Each column's entries below
+    the diagonal go to that row's packed offsets. The tiles run on
     ``threads`` worker threads; the result does not depend on the count.
     """
     stack = MatrixStack.of(matrices)
@@ -188,12 +183,7 @@ def _packed_gram(d: DistanceMatrix) -> np.ndarray:
     return a
 
 
-def classical_mds(
-    d: DistanceMatrix,
-    dim: int,
-    states: np.ndarray | None = None,
-    epoch_ends: tuple[date, ...] | None = None,
-) -> Embedding:
+def classical_mds(d: DistanceMatrix, dim: int) -> Embedding:
     """Torgerson scaling: eigendecompose B = -1/2 J D^2 J, built in packed
     storage, and scale the top eigenvectors by sqrt(eigenvalue).
 
@@ -258,40 +248,39 @@ def classical_mds(
         eigenvalues=tuple(float(v) for v in top_vals),
         positive_mass=positive_mass,
         captured=min(captured, 1.0),
-        states=states,
-        epoch_ends=epoch_ends,
     )
 
 
-def _states(e: Embedding) -> np.ndarray:
-    """The points' states; 0 for each when the embedding carries none."""
-    return e.states if e.states is not None else np.zeros(e.n, dtype=np.int64)
+def _labels(e: Embedding, seq: StateSequence | None) -> tuple[np.ndarray, tuple]:
+    """Each point's state and epoch end from ``seq``: 0 and None without
+    one. A sequence of another length raises ValidationError."""
+    if seq is None:
+        return np.zeros(e.n, dtype=np.int64), (None,) * e.n
+    if len(seq) != e.n:
+        raise ValidationError(f"state sequence has {len(seq)} states for {e.n} points")
+    return seq.states, seq.epoch_ends or (None,) * e.n
 
 
-def embedding_table(e: Embedding) -> str:
-    """CSV export ``epoch_end,state,x,y,z``; missing axes are zero."""
-    states = _states(e)
-    ends = e.epoch_ends if e.epoch_ends is not None else (None,) * e.n
+def embedding_table(e: Embedding, seq: StateSequence | None = None) -> str:
+    """CSV export ``epoch_end,state,x,y,z``, labelled from ``seq``;
+    missing axes are zero."""
+    states, ends = _labels(e, seq)
     xyz = np.zeros((e.n, 3))
-    take = min(3, e.dim)
-    xyz[:, :take] = e.coords[:, :take]
+    xyz[:, :e.dim] = e.coords[:, :3]
     lines = ["epoch_end,state,x,y,z"]
-    for i in range(e.n):
-        end = ends[i].isoformat() if ends[i] is not None else ""
-        lines.append(
-            f"{end},{int(states[i])},"
-            f"{format(xyz[i, 0], '.17g')},{format(xyz[i, 1], '.17g')},"
-            f"{format(xyz[i, 2], '.17g')}"
-        )
+    for end, state, (x, y, z) in zip(ends, states, xyz):
+        lines.append(f"{end.isoformat() if end else ''},{int(state)},"
+                     f"{x:.17g},{y:.17g},{z:.17g}")
     return "\n".join(lines) + "\n"
 
 
-def embedding_svg(e: Embedding) -> str:
+def embedding_svg(e: Embedding, seq: StateSequence | None = None) -> str:
     """Standalone 640x480 scatter SVG of axes 1 and 2, one circle per
-    point, colored by state from a fixed 8-color palette; axis labels
-    carry each axis's share of positive eigenvalue mass."""
+    point, colored by its state in ``seq`` from a fixed 8-color palette;
+    axis labels carry each axis's share of positive eigenvalue mass."""
     if e.dim < 2:
         raise ParameterRange(f"axis 2 out of range 1..{e.dim}")
+    states = _labels(e, seq)[0]
     width, height = 640, 480
     margin = 48.0
 
@@ -317,7 +306,7 @@ def embedding_svg(e: Embedding) -> str:
         f'font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 16 {height / 2:.1f})">{label_b}</text>',
     ]
-    for i, state in enumerate(map(int, _states(e))):
+    for i, state in enumerate(map(int, states)):
         color = PALETTE[(state - 1) % len(PALETTE)] if state >= 1 else PALETTE[-1]
         parts.append(
             f'<circle cx="{px[i]:.2f}" cy="{py[i]:.2f}" r="3" '

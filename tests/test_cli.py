@@ -674,21 +674,30 @@ def test_state_commands_threads_do_not_change_artifacts(command, artifacts, mark
 
 
 def test_mds_frees_the_stack_before_scaling(market, tmp_path, monkeypatch):
-    """The epoch stack is released before classical scaling starts, so the
-    scaling's n x n buffer does not stack on top of it. Checked through
-    the array that owns the stack's memory, with no garbage collection,
-    so it holds however an interpreter releases call arguments."""
+    """The return table is released before the distances are computed and
+    the epoch stack before classical scaling starts, so neither adds to
+    the peak of the n x n buffers. Checked through the arrays that own
+    their memory, with no garbage collection, so it holds however an
+    interpreter releases call arguments."""
     owners = []
     distance_matrix, classical_mds = cli.distance_matrix, cli.classical_mds
+    log_returns = cli.log_returns
+
+    def returns(table):
+        rt = log_returns(table)
+        owners.append(weakref.ref(rt.returns))
+        return rt
 
     def distances(stack, threads):
+        assert len(owners) == 1 and owners[0]() is None, "the return table is still alive"
         owners.append(weakref.ref(stack.data.base))
         return distance_matrix(stack, threads=threads)
 
     def scaling(*args, **kwargs):
-        assert len(owners) == 1 and owners[0]() is None, "the stack is still alive"
+        assert len(owners) == 2 and owners[1]() is None, "the stack is still alive"
         return classical_mds(*args, **kwargs)
 
+    monkeypatch.setattr(cli, "log_returns", returns)
     monkeypatch.setattr(cli, "distance_matrix", distances)
     monkeypatch.setattr(cli, "classical_mds", scaling)
     assert _run(["mds", "--prices", market / "prices.csv", "--out", tmp_path,
@@ -698,7 +707,7 @@ def test_mds_frees_the_stack_before_scaling(market, tmp_path, monkeypatch):
 def test_mds_failing_after_its_table_writes_nothing(market, tmp_path, monkeypatch, capsys):
     """The embedding table is ready before the plot fails; neither is
     written, nor is run_meta.json."""
-    def fail(emb):
+    def fail(emb, seq):
         raise ComputationError("plot failed")
 
     monkeypatch.setattr(cli, "embedding_svg", fail)
@@ -708,6 +717,52 @@ def test_mds_failing_after_its_table_writes_nothing(market, tmp_path, monkeypatc
     assert rc == 2
     assert "error[ComputationError]: plot failed" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def _short_market(out, durations):
+    assert _run(["synth", "--sector-sizes", "3,3", "--intra", "0.5", "--inter", "0.1",
+                 "--durations", durations, "--seed", 1, "--out", out]) == 0
+    return out / "prices.csv"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mds", "--k", 2, "--n-init", 2], "mds needs at least 4 epochs for 3 axes, got 3"),
+    (["mds", "--k", 4], "mds needs at least 4 epochs for 3 axes, got 3"),
+    (["states", "--k", 4], "k=4 exceeds 3 matrices"),
+    (["transitions", "--k", 4], "k=4 exceeds 3 matrices"),
+])
+def test_too_few_epochs_fail_before_the_pipeline(argv, message, tmp_path, monkeypatch,
+                                                 capsys):
+    """On a 3-epoch market the epoch count alone decides these; no epoch
+    stack is built and nothing is written."""
+    prices = _short_market(tmp_path / "market", 22)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the epoch stack was built")
+
+    monkeypatch.setattr(cli, "pipeline_matrices", unreachable)
+    out = tmp_path / "out"
+    assert _run([*argv, "--prices", prices, "--out", out]) == 1
+    assert f"error[InsufficientData]: {message}\n" == capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_mds_runs_on_four_epochs(tmp_path):
+    prices = _short_market(tmp_path / "market", 23)
+    assert _run(["mds", "--k", 2, "--n-init", 2, "--prices", prices,
+                 "--out", tmp_path / "out"]) == 0
+    lines = (tmp_path / "out" / "embedding.csv").read_text().splitlines()
+    assert len(lines) == 5
+
+
+def test_optimize_keeps_a_k_above_the_epoch_count_as_a_cell_error(tmp_path):
+    prices = _short_market(tmp_path / "market", 22)
+    out = tmp_path / "out"
+    assert _run(["optimize", "--k-range", "2:4", "--epsilon-grid", "0", "--k-min", 2,
+                 "--n-init", 2, "--prices", prices, "--out", out]) == 0
+    errors = json.loads((out / "sigma_summary.json").read_text())["cell_errors"]
+    assert list(errors) == ["k=4,epsilon=0.0"]
+    assert "k=4 exceeds 3 matrices" in errors["k=4,epsilon=0.0"]
 
 
 # ----------------------------------------------------------- exit codes

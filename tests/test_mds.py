@@ -18,6 +18,7 @@ from marketstates.errors import (
     ValidationError,
 )
 from marketstates.ingest import log_returns
+from marketstates.markov import StateSequence
 from marketstates.mds import (
     TILE_ROWS,
     DistanceMatrix,
@@ -412,7 +413,7 @@ def test_planted_regimes_separate_in_2d():
     dm = distance_matrix(mats)
     run = ms.sigma_intra(mats, k=3, n_init=8, seed=0)
     states = ms.order_states(run.best, mats).states
-    e = classical_mds(dm, dim=2, states=states)
+    e = classical_mds(dm, dim=2)
     # the scatter's colored groups are the recovered states
     assert silhouette(e.coords, states) > 0.5
     labels = np.asarray(day_labels[1:])
@@ -428,8 +429,8 @@ def test_embedding_table_format():
     pts = rng.normal(size=(6, 3))
     states = np.arange(1, 7)
     ends = tuple(date(2016, 2, 1) + timedelta(days=i) for i in range(6))
-    e = classical_mds(_euclidean_dm(pts), dim=3, states=states, epoch_ends=ends)
-    text = embedding_table(e)
+    e = classical_mds(_euclidean_dm(pts), dim=3)
+    text = embedding_table(e, StateSequence(states=states, k=6, epoch_ends=ends))
     lines = text.strip().split("\n")
     assert lines[0] == "epoch_end,state,x,y,z"
     assert len(lines) == 7
@@ -455,15 +456,16 @@ def test_embedding_svg_contents():
     rng = np.random.default_rng(10)
     pts = rng.normal(size=(12, 2))
     states = np.array([1, 2, 3] * 4)
-    e = classical_mds(_euclidean_dm(pts), dim=2, states=states)
-    svg = embedding_svg(e)
+    seq = StateSequence(states=states, k=3)
+    e = classical_mds(_euclidean_dm(pts), dim=2)
+    svg = embedding_svg(e, seq)
     assert svg.startswith("<svg ")
     assert svg.count("<circle") == 12
     for s in (1, 2, 3):
         assert PALETTE[s - 1] in svg
     assert "axis 1 (" in svg and "axis 2 (" in svg
     assert "% of positive mass" in svg
-    assert embedding_svg(e) == svg
+    assert embedding_svg(e, seq) == svg
     frac = e.axis_fraction(1)
     assert f"{100 * frac:.1f}%" in svg
     with pytest.raises(ParameterRange, match="axis 2 out of range 1..1"):
@@ -477,3 +479,58 @@ def test_embedding_svg_centres_a_constant_axis():
                   captured=1.0)
     svg = embedding_svg(e)
     assert svg.count('cy="240.00"') == 5
+
+
+# a hand-built embedding, so the pinned text does not depend on BLAS
+_PINNED = Embedding(coords=np.array([[1.5, -0.25], [-1.0, 0.5], [-0.5, -0.25]]),
+                    eigenvalues=(3.0, 1.0), positive_mass=5.0, captured=0.8)
+_PINNED_SEQ = StateSequence(
+    states=np.array([2, 1, 2]), k=2,
+    epoch_ends=(date(2016, 3, 1), date(2016, 3, 2), date(2016, 3, 3)),
+)
+
+
+def test_embedding_table_text_is_pinned_with_and_without_a_sequence():
+    assert embedding_table(_PINNED, _PINNED_SEQ) == (
+        "epoch_end,state,x,y,z\n"
+        "2016-03-01,2,1.5,-0.25,0\n"
+        "2016-03-02,1,-1,0.5,0\n"
+        "2016-03-03,2,-0.5,-0.25,0\n"
+    )
+    # without a sequence every state is 0 and every date empty
+    assert embedding_table(_PINNED) == (
+        "epoch_end,state,x,y,z\n"
+        ",0,1.5,-0.25,0\n"
+        ",0,-1,0.5,0\n"
+        ",0,-0.5,-0.25,0\n"
+    )
+
+
+def test_embedding_svg_text_is_pinned_with_and_without_a_sequence():
+    head = (
+        '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="480" '
+        'viewBox="0 0 640 480">\n'
+        '<rect width="640" height="480" fill="white"/>\n'
+        '<text x="320.0" y="468" text-anchor="middle" font-family="sans-serif" '
+        'font-size="13">axis 1 (60.0% of positive mass)</text>\n'
+        '<text x="16" y="240.0" text-anchor="middle" font-family="sans-serif" '
+        'font-size="13" transform="rotate(-90 16 240.0)">axis 2 (20.0% of positive '
+        'mass)</text>\n'
+    )
+
+    def circles(*colors):
+        at = [("592.00", "432.00"), ("48.00", "48.00"), ("156.80", "432.00")]
+        return "".join(f'<circle cx="{x}" cy="{y}" r="3" fill="{c}" fill-opacity="0.75"/>\n'
+                       for (x, y), c in zip(at, colors))
+
+    assert embedding_svg(_PINNED, _PINNED_SEQ) == (
+        head + circles("#d95f02", "#1b9e77", "#d95f02") + "</svg>\n"
+    )
+    assert embedding_svg(_PINNED) == head + circles(*["#666666"] * 3) + "</svg>\n"
+
+
+def test_renderers_refuse_a_sequence_of_another_length():
+    short = StateSequence(states=np.array([1, 2]), k=2)
+    for render in (embedding_table, embedding_svg):
+        with pytest.raises(ValidationError, match="2 states for 3 points"):
+            render(_PINNED, short)
