@@ -18,9 +18,14 @@ a comma list is refused.
 For each metric it prints both sides' medians and quartiles, how many
 pairs the change won (better in the metric's BENCHMARK.json direction),
 and whether the gap between the medians exceeds the parent's
-interquartile range. An A/A run, which measures the noise floor, gives
-the same directory twice. ``--out`` writes every run's values and the
-summary as JSON.
+interquartile range. Each ``end_to_end`` metric of the parent's
+BENCHMARK.json also gets the no-regression rule against its ``bound``, a
+fraction of the parent's median: ``worse`` when the change's median is
+worse than the parent's by more than the bound; else ``unresolved`` when
+the parent's interquartile range is wider than the bound, unless every
+run of the change beats every run of the parent; else ``within``. An A/A
+run, which measures the noise floor, gives the same directory twice.
+``--out`` writes every run's values and the summary as JSON.
 
 A run whose result line reports ``"correct": false`` (some job's outputs
 failed perfbench's checks) stops the runner: it prints the pair, the side
@@ -115,15 +120,18 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, med, q3
 
 
-def summarize(pairs: list[dict[str, dict]], lower_is_better: dict[str, bool]) -> dict:
+def summarize(pairs: list[dict[str, dict]], lower_is_better: dict[str, bool],
+              bounds: dict[str, float] | None = None) -> dict:
     """Per metric: each side's quartiles, the change's wins, and whether
-    the median gap exceeds the parent's interquartile range."""
+    the median gap exceeds the parent's interquartile range; for a metric
+    in ``bounds``, also its bound and its no-regression verdict."""
     summary = {}
     names = [n for n, v in pairs[0]["parent"].items() if isinstance(v, (int, float))
              and all(n in p[s] for p in pairs for s in SIDES)]
     for name in names:
         lower = lower_is_better.get(name, True)
-        sides = {s: quartiles([p[s][name] for p in pairs]) for s in SIDES}
+        runs = {s: [p[s][name] for p in pairs] for s in SIDES}
+        sides = {s: quartiles(runs[s]) for s in SIDES}
         wins = sum((p["change"][name] < p["parent"][name]) == lower
                    and p["change"][name] != p["parent"][name] for p in pairs)
         gap = sides["change"][1] - sides["parent"][1]
@@ -136,7 +144,25 @@ def summarize(pairs: list[dict[str, dict]], lower_is_better: dict[str, bool]) ->
             "gap_frac": gap / sides["parent"][1] if sides["parent"][1] else None,
             "gap_exceeds_parent_iqr": abs(gap) > sides["parent"][2] - sides["parent"][0],
         }
+        if bounds and name in bounds:
+            summary[name]["bound"] = bounds[name]
+            summary[name]["verdict"] = verdict(runs["parent"], runs["change"], lower,
+                                               bounds[name])
     return summary
+
+
+def verdict(parent: list[float], change: list[float], lower: bool, bound: float) -> str:
+    """The no-regression rule for one end-to-end metric, with ``bound`` a
+    fraction of the parent's median: ``worse``, ``unresolved`` or
+    ``within`` (see the module doc)."""
+    q1, med, q3 = quartiles(parent)
+    sign = 1 if lower else -1  # sign * value grows as the metric worsens
+    if sign * (quartiles(change)[1] - med) > bound * med:
+        return "worse"
+    beats_all = max(sign * v for v in change) < min(sign * v for v in parent)
+    if q3 - q1 > bound * med and not beats_all:
+        return "unresolved"
+    return "within"
 
 
 def _spec(checkout: Path) -> dict:
@@ -150,6 +176,12 @@ def directions(checkout: Path) -> dict[str, bool]:
             for m in spec["end_to_end"] + spec["per_layer"]}
 
 
+def bounds(checkout: Path) -> dict[str, float]:
+    """end-to-end metric -> its regression bound, from the checkout's
+    BENCHMARK.json."""
+    return {m["name"]: m["bound"] for m in _spec(checkout)["end_to_end"]}
+
+
 def workloads(checkout: Path) -> list[str]:
     """The workload names of the checkout's BENCHMARK.json."""
     return [w["name"] for w in _spec(checkout)["workloads"]]
@@ -157,12 +189,14 @@ def workloads(checkout: Path) -> list[str]:
 
 def report(summary: dict) -> str:
     lines = [f"{'metric':<40} {'parent q1/med/q3':>30} {'change q1/med/q3':>30} "
-             f"{'gap':>8} {'wins':>6} >iqr"]
+             f"{'gap':>8} {'wins':>6} >iqr  bound"]
     for name, s in summary.items():
         fmt = "/".join(f"{v:.4g}" for v in s["parent"]), "/".join(f"{v:.4g}" for v in s["change"])
         frac = "" if s["gap_frac"] is None else f"{100 * s['gap_frac']:+.1f}%"
+        rule = f"{s['bound']:.0%} {s['verdict']}" if "bound" in s else ""
         lines.append(f"{name:<40} {fmt[0]:>30} {fmt[1]:>30} {frac:>8} "
-                     f"{s['change_wins']:>3}/{s['pairs']:<2} {'yes' if s['gap_exceeds_parent_iqr'] else 'no'}")
+                     f"{s['change_wins']:>3}/{s['pairs']:<2} "
+                     f"{'yes' if s['gap_exceeds_parent_iqr'] else 'no':<4} {rule}".rstrip())
     return "\n".join(lines)
 
 
@@ -192,7 +226,7 @@ def main(argv=None) -> int:
         doc.update(pairs=exc.runs, failed=str(exc))
         rc = 1
     else:
-        summary = summarize(pairs, directions(dirs["parent"]))
+        summary = summarize(pairs, directions(dirs["parent"]), bounds(dirs["parent"]))
         print(f"{args.workload}, seed {args.seed}, trace {args.trace}: {args.pairs} pairs, "
               f"parent {dirs['parent']}, change {dirs['change']}")
         print(report(summary))

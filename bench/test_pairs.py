@@ -125,6 +125,41 @@ def test_directions_come_from_the_benchmark_file():
     assert lower["clustering.kmeans.converged_frac"] is False
 
 
+def test_bounds_come_from_the_benchmark_file():
+    assert pairs.bounds(ROOT) == {"job_s": 0.25, "peak_rss_mb": 0.15, "setup_s": 0.25}
+
+
+TIGHT = [10.0, 10.0, 10.0, 10.0, 10.0]
+WIDE = [7.0, 8.0, 10.0, 12.0, 13.0]  # quartiles 8/10/12: an IQR of 40% of the median
+
+
+@pytest.mark.parametrize("parent, change, lower, expected", [
+    (TIGHT, [12.4] * 5, True, "within"),  # 24% worse against a 25% bound
+    (TIGHT, [12.6] * 5, True, "worse"),
+    (TIGHT, [7.6] * 5, False, "within"),  # higher is better: 24% worse
+    (TIGHT, [7.4] * 5, False, "worse"),
+    (TIGHT, [12.6] * 5, False, "within"),  # higher is better: a gain
+    (WIDE, [10.0] * 5, True, "unresolved"),
+    (WIDE, [6.0, 6.5, 6.0, 6.9, 6.2], True, "within"),  # every change run beats every parent run
+    (WIDE, [6.0, 6.5, 6.0, 7.0, 6.2], True, "unresolved"),  # a tie with the best parent run
+    (WIDE, [13.0] * 5, True, "worse"),  # a median past the bound is worse, however wide
+])
+def test_no_regression_verdict_on_each_side_of_the_bound(parent, change, lower, expected):
+    assert pairs.verdict(parent, change, lower, 0.25) == expected
+
+
+def test_summary_and_report_carry_the_bound_of_end_to_end_metrics_only():
+    runs = [{"parent": {"job_s": a, "job_cpu_s": 1.0}, "change": {"job_s": b, "job_cpu_s": 2.0}}
+            for a, b in zip(TIGHT, [12.6] * 5)]
+    summary = pairs.summarize(runs, {}, pairs.bounds(ROOT))
+    assert (summary["job_s"]["bound"], summary["job_s"]["verdict"]) == (0.25, "worse")
+    assert "bound" not in summary["job_cpu_s"] and "verdict" not in summary["job_cpu_s"]
+    rows = pairs.report(summary).splitlines()
+    assert rows[0].endswith("bound")
+    assert rows[1].startswith("job_s") and rows[1].endswith("25% worse")
+    assert rows[2].startswith("job_cpu_s") and rows[2].endswith("yes")
+
+
 def test_report_has_a_row_per_metric():
     runs = [{"parent": {"job_s": 3.0, "setup_s": 0.1}, "change": {"job_s": 2.0, "setup_s": 0.1}}]
     text = pairs.report(pairs.summarize(runs, {}))

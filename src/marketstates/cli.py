@@ -2,10 +2,11 @@
 
 Subcommands: states, optimize, transitions, mds, synth. Options come
 from flags or an optional ``--config`` file of ``key=value`` lines
-(flags win). Each command checks its options, computes, and returns its
-artifacts as ``{file name: text}``. The state commands (states,
-transitions, mds) each build one ``StateRun`` and hand it, or the parts
-they need, to pure artifact builders. ``main`` writes the artifacts, then
+(flags win). ``merge_config`` checks each option's own range; each
+command checks what spans options, computes, and returns its artifacts
+as ``{file name: text}``. The state commands (states, transitions, mds)
+each build one ``StateRun`` and hand it, or the parts they need, to pure
+artifact builders. ``main`` writes the artifacts, then
 ``run_meta.json``, only after the command has returned, so a command
 that fails writes no artifact. With a fixed seed every artifact is
 byte-identical across runs and thread counts; wall-clock information
@@ -162,6 +163,11 @@ _OPTION_DEFS = {
 _DATA_OPTIONS = ("prices", "sectors", "out", "config", "epoch", "shift", "max_gap",
                  "n_init", "seed", "metric", "pipeline", "threads")
 
+# option -> the library's range check; merge_config runs them in this order
+_RANGES = {"k": check_k, "epsilon": check_epsilon, "n_init": check_n_init,
+           "threads": check_threads, "seed": check_seed, "max_gap": check_max_gap,
+           "damping": check_damping}
+
 
 def _convert(key: str, raw, source: str):
     conv = _OPTION_DEFS[key][0]
@@ -177,7 +183,7 @@ def _read_config_file(path: str) -> list[tuple[str, str]]:
     if not p.is_file():
         raise ValidationError(f"config file not found: {path}")
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
         raise ValidationError(f"config file is not UTF-8 text: {path}") from None
     pairs, lines = [], {}
@@ -216,6 +222,9 @@ def merge_config(command: str, args: argparse.Namespace) -> SimpleNamespace:
     if missing:
         flags = ", ".join("--" + k.replace("_", "-") for k in missing)
         raise ValidationError(f"missing required option(s): {flags}")
+    for key, check in _RANGES.items():
+        if key in values:
+            check(values[key])
     values["config"] = config_path
     return SimpleNamespace(**values)
 
@@ -229,11 +238,7 @@ def _sha256(path: str) -> str:
 
 
 def _prepare_data(cfg):
-    """Checks every data command shares, then the inputs; returns the EpochSpec too."""
-    check_n_init(cfg.n_init)
-    check_threads(cfg.threads)
-    check_seed(cfg.seed)
-    check_max_gap(cfg.max_gap)
+    """File checks every data command shares, then the inputs; returns the EpochSpec too."""
     spec = EpochSpec(length=cfg.epoch, shift=cfg.shift)
     if not Path(cfg.prices).is_file():
         raise ValidationError(f"price file not found: {cfg.prices}")
@@ -301,8 +306,6 @@ def _transitions_artifact(seq, stride, damping, seed) -> dict[str, str]:
 
 
 def cmd_states(cfg) -> dict[str, str]:
-    check_k(cfg.k)
-    check_epsilon(cfg.epsilon)
     return _states_artifacts(cfg, _state_run(cfg, *_prepare_data(cfg)))
 
 
@@ -323,8 +326,6 @@ def cmd_transitions(cfg) -> dict[str, str]:
         raise ParameterRange(f"stride must be >= 1, got {cfg.stride}")
     if cfg.k < 2:
         raise ParameterRange(f"transitions need k >= 2 for tridiagonality, got {cfg.k}")
-    check_damping(cfg.damping)
-    check_epsilon(cfg.epsilon)
     returns, sectors, spec = _prepare_data(cfg)
     epochs = spec.window_count(returns.n_rows)
     kept = len(range(0, epochs, cfg.stride))
@@ -338,8 +339,6 @@ def cmd_transitions(cfg) -> dict[str, str]:
 
 
 def cmd_mds(cfg) -> dict[str, str]:
-    check_k(cfg.k)
-    check_epsilon(cfg.epsilon)
     returns, sectors, spec = _prepare_data(cfg)
     epochs = spec.window_count(returns.n_rows)
     if epochs < 4:
@@ -356,7 +355,6 @@ def cmd_mds(cfg) -> dict[str, str]:
 
 
 def cmd_synth(cfg) -> dict[str, str]:
-    check_seed(cfg.seed)
     spec = RegimeSpec(
         sector_sizes=tuple(cfg.sector_sizes),
         intra=tuple(cfg.intra),

@@ -1,8 +1,9 @@
 """Price-table loading, validation, gap handling, and log returns.
 
-The file contract is deliberately small: a comma-separated UTF-8 table with
-header ``date,<ticker>,...``, ISO-8601 dates, one trading day per row, and
-an empty cell wherever a price is missing. Every validation failure is a
+The file contract is deliberately small: a comma-separated UTF-8 table (a
+leading byte-order mark is not data) with header ``date,<ticker>,...``,
+ISO-8601 dates, one trading day per row, and an empty cell wherever a price
+is missing. Every validation failure is a
 structured :class:`~marketstates.errors.ParseError` carrying the 1-based
 row/column location, so a bad file points at its own defect.
 
@@ -178,8 +179,9 @@ def load_price_table(path) -> PriceTable:
 
 
 def _read_file(path, read, *args):
-    """``read(handle, *args)`` over the file as UTF-8 text, or ParseError."""
-    with open(path, encoding="utf-8", newline="") as handle:
+    """``read(handle, *args)`` over the file as UTF-8 text, a leading
+    byte-order mark dropped, or ParseError."""
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         try:
             return read(handle, *args)
         except UnicodeDecodeError:

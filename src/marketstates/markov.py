@@ -49,9 +49,15 @@ class StateSequence:
 
 
 def _state_array(seq, k: int | None) -> tuple[np.ndarray, int]:
-    states = np.asarray(getattr(seq, "states", seq), dtype=np.int64)
+    states = np.asarray(getattr(seq, "states", seq))
     if states.ndim != 1:
         raise ValidationError("state sequence must be one-dimensional")
+    if states.dtype.kind not in "biu":
+        # the int64 cast would truncate a fraction and warn on NaN or inf
+        values = np.asarray(states, dtype=np.float64)
+        if not ((np.abs(values) < 2.0**63) & (np.trunc(values) == values)).all():
+            raise ValidationError("state labels must be integers")
+    states = states.astype(np.int64, copy=False)
     if k is None:
         k = int(getattr(seq, "k", 0)) or (int(states.max()) if states.size else 0)
     if k < 1:

@@ -57,7 +57,7 @@ TILE_ROWS = 32
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Packed symmetric nonnegative distances with a zero diagonal.
+    """Packed symmetric finite nonnegative distances with a zero diagonal.
 
     ``classical_mds`` takes the buffer over for its Gram matrix; the
     matrix is spent then, ``d`` is None, and ``full`` or another scaling
@@ -71,10 +71,9 @@ class DistanceMatrix:
             raise ValidationError(
                 f"packed length {self.d.shape} does not match n={self.n}"
             )
-        # a reduction, not an n(n+1)/2 boolean temporary; fmin skips NaN
-        # just as the comparison d < 0 is false for it
-        if self.d.size and np.fmin.reduce(self.d) < 0:
-            raise ValidationError("distances must be nonnegative")
+        # reductions, not an n(n+1)/2 boolean temporary; NaN fails both
+        if self.d.size and not (self.d.min() >= 0 and self.d.max() < np.inf):
+            raise ValidationError("distances must be finite and nonnegative")
         if self.d[packed.diagonal_positions(self.n)].any():
             raise ValidationError("distance diagonal must be zero")
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidRegime, ValidationError
 from .ingest import PriceTable, SectorMap
-from .markov import StateSequence, check_probs, equilibrium_distribution, sample_chain_block
+from .markov import StateSequence, equilibrium_distribution, sample_chain_block
 from .rng import check_seed
 
 START_DATE = date(2000, 1, 3)
@@ -156,12 +156,11 @@ def generate_markov_sequence(probs, length: int, seed: int) -> StateSequence:
     """Sample a chain whose first state is drawn from the equilibrium
     distribution; deterministic given the seed. Accepts a TransitionMatrix
     or a plain row-stochastic array."""
-    p = check_probs(probs)
-    k = p.shape[0]
     check_seed(seed)
-    eq = equilibrium_distribution(p)
+    eq = equilibrium_distribution(probs)
+    k = eq.pi.shape[0]
 
     rng = np.random.default_rng(seed)
     start = rng.choice(k, p=eq.pi) + 1
-    states = sample_chain_block(p, length, np.array([start]), rng)[0]
+    states = sample_chain_block(probs, length, np.array([start]), rng)[0]
     return StateSequence(states=states, k=k)

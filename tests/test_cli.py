@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from marketstates import cli
 from marketstates.cli import build_parser, main, merge_config
-from marketstates.errors import ComputationError
+from marketstates.errors import ComputationError, ParameterRange
 from marketstates.ingest import load_price_table
 
 # two regimes of 120 return days each: 241 price rows, 15 tickers,
@@ -538,6 +538,65 @@ def test_negative_seed_fails_before_any_work(command, tmp_path, monkeypatch, cap
     assert not out.exists() or list(out.iterdir()) == []
 
 
+# one out-of-range value per ranged option, and valid values for the
+# options some command requires
+_BAD = {"k": 0, "epsilon": 1.5, "n_init": 1, "threads": 0, "seed": -1, "max_gap": -1,
+        "damping": 1.0}
+_REQUIRED_OK = {"k": 2, "epsilon_grid": "0", "k_range": "2:3", "k_min": 2}
+
+
+def _argv(command, options, tmp_path):
+    """``command`` with its required options valid and ``options`` as given."""
+    names = cli._COMMANDS[command][2]
+    values = {key: v for key, v in _REQUIRED_OK.items() if key in names}
+    if "prices" in names:
+        values["prices"] = tmp_path / "p.csv"
+    values.update(options)
+    argv = [command, "--out", tmp_path / "out"]
+    for key, value in values.items():
+        argv += [f"--{key.replace('_', '-')}", value]
+    return argv
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command, (_, _, names) in cli._COMMANDS.items()
+    for option in cli._RANGES if option in names
+])
+def test_every_ranged_option_fails_before_any_work_and_before_out(
+        command, option, tmp_path, monkeypatch, capsys):
+    """Each command's out-of-range option exits 1 with its own check's
+    message, before any input is read or generated and before ``--out``
+    is made."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "load_price_table", unreachable)
+    monkeypatch.setattr(cli, "generate_block_market", unreachable)
+    with pytest.raises(ParameterRange) as expected:
+        cli._RANGES[option](_BAD[option])
+    assert _run(_argv(command, {option: _BAD[option]}, tmp_path)) == 1
+    assert f"error[ParameterRange]: {expected.value}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["states", "mds", "optimize"])
+def test_several_bad_options_report_the_first_in_range_order(
+        command, tmp_path, monkeypatch, capsys):
+    """With several options out of range, the first in ``_RANGES`` order
+    is reported; a range error comes before a grid error."""
+    def unreachable(path):
+        raise AssertionError("the price table was read")
+
+    monkeypatch.setattr(cli, "load_price_table", unreachable)
+    ranged = [key for key in cli._RANGES if key in cli._COMMANDS[command][2]]
+    for i, first in enumerate(ranged):
+        bad = {key: _BAD[key] for key in ranged[i:]}
+        if command == "optimize":
+            bad["k_min"] = 9  # above the k range: a grid error
+        assert _run(_argv(command, bad, tmp_path)) == 1
+        assert f"{first} must be" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("noise, error, word", [
     ("nan", "ValidationError", "noise scale must be finite and positive"),
     ("inf", "ValidationError", "noise scale must be finite and positive"),
@@ -895,6 +954,25 @@ def test_flag_overrides_config(market, tmp_path):
     assert rc == 0
     summary = json.loads((out / "states_summary.json").read_text())
     assert summary["seed"] == 9
+
+
+def test_byte_order_marks_are_not_data(market, tmp_path):
+    """Config, price and header-less sector files each read the same with
+    a leading UTF-8 byte-order mark as without one."""
+    runs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        d = tmp_path / f"bom{len(bom)}"
+        d.mkdir()
+        sector_rows = (market / "sectors.csv").read_bytes().split(b"\n", 1)[1]
+        (d / "sectors.csv").write_bytes(bom + sector_rows)
+        (d / "prices.csv").write_bytes(bom + (market / "prices.csv").read_bytes())
+        (d / "run.cfg").write_bytes(bom + b"k=2\nn_init=2\npipeline=guhr\n")
+        rc = _run(["states", "--prices", d / "prices.csv", "--sectors", d / "sectors.csv",
+                   "--config", d / "run.cfg", "--out", d / "out"])
+        assert rc == 0
+        runs.append([(d / "out" / name).read_bytes()
+                     for name in ("states.csv", "states_summary.json")])
+    assert runs[0] == runs[1]
 
 
 def test_config_unknown_key(market, tmp_path, capsys):

@@ -375,6 +375,22 @@ def test_non_utf8_files_raise_parse_error(tmp_path, at):
         load_sector_map(sectors, ["A", "B"])
 
 
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+def test_a_byte_order_mark_is_not_data(tmp_path, bom):
+    """A file read with or without a leading UTF-8 byte-order mark is read
+    as ``parse_*`` reads its text; a header-less sector map keeps its
+    first ticker's name."""
+    prices = tmp_path / "prices.csv"
+    prices.write_bytes(bom + BASIC.encode())
+    table, ref = load_price_table(prices), parse_price_table(BASIC)
+    assert (table.dates, table.tickers) == (ref.dates, ref.tickers)
+    np.testing.assert_array_equal(table.prices, ref.prices)
+    for text in ("A,tech\nB,energy\n", "ticker,sector\nA,tech\nB,energy\n"):
+        sectors = tmp_path / "sectors.csv"
+        sectors.write_bytes(bom + text.encode())
+        assert load_sector_map(sectors, ["A", "B"]) == parse_sector_map(text, ["A", "B"])
+
+
 # Reference implementations: the per-cell parse and render and the
 # per-element gap scan that the array code in ``ingest`` replaced. The
 # parity tests below hold the array code to their results bit for bit.

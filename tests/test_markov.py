@@ -101,6 +101,31 @@ def test_transition_errors():
         transition_matrix(np.array([[1, 2], [1, 2]]))
 
 
+_FITS = {
+    "transition_matrix": lambda s: transition_matrix(s, k=2),
+    "two_step_matrix": lambda s: two_step_matrix(s, k=2),
+    "markovianity_check": lambda s: markovianity_check(s, BootstrapPolicy(n_boot=5), k=2),
+}
+
+
+@pytest.mark.parametrize("fit", _FITS.values(), ids=_FITS.keys())
+@pytest.mark.parametrize("bad", [2.7, 1.2, np.nan, np.inf, -np.inf, 2.0**64])
+def test_state_labels_the_int64_cast_would_change_are_refused(fit, bad):
+    """A label that is not a whole number in int64's range is refused
+    before the cast, which would truncate it or warn; whole floats stay
+    accepted and count as their integers."""
+    states = np.array([1.0, 2.0, 1.0, 2.0, 2.0, 1.0])
+    whole = fit(states)
+    ints = fit(states.astype(np.int64))
+    if isinstance(whole, np.ndarray):
+        np.testing.assert_array_equal(whole, ints)
+    else:
+        assert repr(whole) == repr(ints)
+    states[2] = bad
+    with pytest.raises(ValidationError, match="state labels must be integers"):
+        fit(states)
+
+
 def test_equilibrium_two_state_known_value():
     t = _tm([[0.9, 0.1], [0.2, 0.8]])
     ev = equilibrium_distribution(t)

@@ -287,22 +287,37 @@ def test_distance_container_validation():
 @pytest.mark.parametrize("off_diagonal, ok", [
     ((0.0, 1.0, 2.0), True),
     ((-0.0, 1.0, 2.0), True),
-    ((np.nan, 1.0, 2.0), True),
-    ((np.nan, np.nan, np.nan), True),
+    ((np.nan, 1.0, 2.0), False),
+    ((np.nan, np.nan, np.nan), False),
     ((np.nan, -0.5, 2.0), False),
     ((1.0, 2.0, -1e-300), False),
 ])
 def test_nonnegativity_check_treats_nan_and_negative_zero_as_before(off_diagonal, ok):
-    """The sign check is a reduction; it passes and fails exactly where
-    ``(d < 0).any()`` does: NaN and -0.0 are not negative."""
+    """The check is two reductions; it passes and fails exactly where
+    ``((d >= 0) & (d < inf)).all()`` does: -0.0 is not negative, and NaN
+    is refused."""
     d = np.zeros(6)
     d[[1, 2, 4]] = off_diagonal
-    assert ok == (not (d < 0).any())
+    assert ok == ((d >= 0) & (d < np.inf)).all()
     if ok:
         DistanceMatrix(n=3, d=d)
     else:
         with pytest.raises(ValidationError, match="nonnegative"):
             DistanceMatrix(n=3, d=d)
+
+
+@pytest.mark.parametrize("n", [6, mds.DENSE_CUTOFF + 100])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_distances_are_refused_before_any_eigensolver(n, value, capfd):
+    """NaN and +-inf fail the container's own check with a typed error, on
+    both sides of the dense cutoff, and leave nothing on stderr (no
+    LAPACK message from an eigensolver)."""
+    d = np.ones(packed.packed_length(n))
+    d[packed.diagonal_positions(n)] = 0.0
+    d[n // 2] = value  # an off-diagonal entry of the first row
+    with pytest.raises(ValidationError, match="finite and nonnegative"):
+        DistanceMatrix(n=n, d=d)
+    assert capfd.readouterr().err == ""
 
 
 def test_line_three_points():
