@@ -38,12 +38,17 @@ from .clustering import (
     check_n_init,
     check_threads,
     grid_csv,
-    grid_summary_json,
     optimize_states,
     order_states,
     sigma_intra,
 )
-from .corrmat import EpochSpec, check_epsilon, pipeline_matrices
+from .corrmat import (
+    EpochSpec,
+    check_epoch_length,
+    check_epoch_shift,
+    check_epsilon,
+    pipeline_matrices,
+)
 from .errors import (
     ComputationError,
     InsufficientData,
@@ -163,10 +168,19 @@ _OPTION_DEFS = {
 _DATA_OPTIONS = ("prices", "sectors", "out", "config", "epoch", "shift", "max_gap",
                  "n_init", "seed", "metric", "pipeline", "threads")
 
-# option -> the library's range check; merge_config runs them in this order
+
+def _check_stride(stride: int):
+    """Subsampling keeps every stride-th state, so stride must be >= 1."""
+    if stride < 1:
+        raise ParameterRange(f"stride must be >= 1, got {stride}")
+
+
+# option -> its range check, the library's where it has one; merge_config
+# runs them in this order
 _RANGES = {"k": check_k, "epsilon": check_epsilon, "n_init": check_n_init,
            "threads": check_threads, "seed": check_seed, "max_gap": check_max_gap,
-           "damping": check_damping}
+           "damping": check_damping, "stride": _check_stride,
+           "epoch": check_epoch_length, "shift": check_epoch_shift}
 
 
 def _convert(key: str, raw, source: str):
@@ -318,12 +332,23 @@ def cmd_optimize(cfg) -> dict[str, str]:
         cfg.n_init, cfg.seed,
         metric=cfg.metric, threads=cfg.threads,
     )
-    return {"sigma_grid.csv": grid_csv(grid), "sigma_summary.json": grid_summary_json(grid)}
+    chosen = grid.cell(*grid.chosen)
+    summary = {
+        "chosen_k": chosen.k,
+        "chosen_epsilon": chosen.epsilon,
+        "sigma_intra": chosen.sigma_intra,
+        "mean_d_intra": chosen.mean_d_intra,
+        "k_min_admissible": cfg.k_min,
+        "n_init": cfg.n_init,
+        "seed": cfg.seed,
+        "cell_errors": {f"k={c.k},epsilon={c.epsilon}": c.error
+                        for c in grid.cells if c.error is not None},
+    }
+    return {"sigma_grid.csv": grid_csv(grid),
+            "sigma_summary.json": json.dumps(summary, indent=2, sort_keys=True) + "\n"}
 
 
 def cmd_transitions(cfg) -> dict[str, str]:
-    if cfg.stride < 1:
-        raise ParameterRange(f"stride must be >= 1, got {cfg.stride}")
     if cfg.k < 2:
         raise ParameterRange(f"transitions need k >= 2 for tridiagonality, got {cfg.k}")
     returns, sectors, spec = _prepare_data(cfg)

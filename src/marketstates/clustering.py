@@ -23,7 +23,6 @@ order.
 
 from __future__ import annotations
 
-import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -200,11 +199,9 @@ def kmeans(
     centroids = pts[rng.choice(n, size=k, replace=False)].copy()
     assign = np.full(n, -1, dtype=np.int64)
     history: list[float] = []
-    iterations = 0
     converged = False
 
     for _ in range(MAX_ITER):
-        iterations += 1
         dist = _centroid_distances(centroids, pts, kind)
         new_assign = dist.argmin(axis=0)
         own = to_distance(dist.min(axis=0))
@@ -236,7 +233,7 @@ def kmeans(
         centroids=centroids,
         d_intra=d_intra,
         seed=seed,
-        iterations=iterations,
+        iterations=len(history),
         converged=converged,
         d_intra_history=tuple(history),
     )
@@ -295,18 +292,10 @@ class GridCell:
 
 @dataclass(frozen=True)
 class GridResult:
-    """σ_intra surface over the (k, epsilon) grid plus the chosen cell."""
+    """σ_intra surface over the (k, epsilon) grid and the chosen (k, epsilon)."""
 
     cells: tuple[GridCell, ...]
-    chosen_k: int
-    chosen_epsilon: float
-    k_min: int
-    n_init: int
-    seed: int
-
-    @property
-    def chosen(self) -> tuple[int, float]:
-        return self.chosen_k, self.chosen_epsilon
+    chosen: tuple[int, float]
 
     def cell(self, k: int, epsilon: float) -> GridCell:
         for c in self.cells:
@@ -388,14 +377,7 @@ def optimize_states(
             "every admissible grid cell failed; see per-cell errors"
         )
     best = min(admissible, key=lambda c: (c.sigma_intra, c.k, c.epsilon))
-    return GridResult(
-        cells=tuple(cells),
-        chosen_k=best.k,
-        chosen_epsilon=best.epsilon,
-        k_min=k_min_admissible,
-        n_init=n_init,
-        seed=seed,
-    )
+    return GridResult(tuple(cells), (best.k, best.epsilon))
 
 
 def order_states(c: Clustering, matrices) -> StateSequence:
@@ -435,25 +417,3 @@ def grid_csv(result: GridResult) -> str:
             f"{format(c.sigma_intra, '.17g')},{format(c.mean_d_intra, '.17g')}"
         )
     return "\n".join(lines) + "\n"
-
-
-def grid_summary(result: GridResult) -> dict:
-    chosen = result.cell(result.chosen_k, result.chosen_epsilon)
-    return {
-        "chosen_k": result.chosen_k,
-        "chosen_epsilon": result.chosen_epsilon,
-        "sigma_intra": chosen.sigma_intra,
-        "mean_d_intra": chosen.mean_d_intra,
-        "k_min_admissible": result.k_min,
-        "n_init": result.n_init,
-        "seed": result.seed,
-        "cell_errors": {
-            f"k={c.k},epsilon={c.epsilon}": c.error
-            for c in result.cells
-            if c.error is not None
-        },
-    }
-
-
-def grid_summary_json(result: GridResult) -> str:
-    return json.dumps(grid_summary(result), indent=2, sort_keys=True) + "\n"

@@ -38,6 +38,18 @@ from .errors import (
 from .ingest import ReturnTable, SectorMap
 
 
+def check_epoch_length(length: int):
+    """A correlation needs at least two days in its window."""
+    if length < 2:
+        raise ParameterRange(f"epoch length must be >= 2, got {length}")
+
+
+def check_epoch_shift(shift: int):
+    """Consecutive epochs must start at least one day apart."""
+    if shift < 1:
+        raise ParameterRange(f"epoch shift must be >= 1, got {shift}")
+
+
 @dataclass(frozen=True)
 class EpochSpec:
     """Sliding-window geometry: window length and shift, in trading days."""
@@ -46,10 +58,8 @@ class EpochSpec:
     shift: int = 1
 
     def __post_init__(self):
-        if self.length < 2:
-            raise ParameterRange(f"epoch length must be >= 2, got {self.length}")
-        if self.shift < 1:
-            raise ParameterRange(f"epoch shift must be >= 1, got {self.shift}")
+        check_epoch_length(self.length)
+        check_epoch_shift(self.shift)
 
     def window_count(self, rows: int) -> int:
         """Number of epochs available over ``rows`` return days."""

@@ -32,7 +32,6 @@ class TransitionMatrix:
 class EquilibriumVector:
     pi: np.ndarray
     steps: int
-    damping: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -141,7 +140,7 @@ def equilibrium_distribution(t, damping: float = 0.0) -> EquilibriumVector:
         nxt /= nxt.sum(axis=1, keepdims=True)
         if np.abs(nxt - p).max() < 1e-13:
             pi = nxt.mean(axis=0)
-            return EquilibriumVector(pi=pi / pi.sum(), steps=step, damping=damping)
+            return EquilibriumVector(pi=pi / pi.sum(), steps=step)
         p = nxt
     raise NonErgodic(
         f"P^(2^n) did not settle in {MAX_SQUARINGS} squarings; retry with damping=1e-3"

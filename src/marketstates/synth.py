@@ -16,6 +16,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
+from .corrmat import check_epoch_length
 from .errors import InvalidRegime, ValidationError
 from .ingest import PriceTable, SectorMap
 from .markov import StateSequence, equilibrium_distribution, sample_chain_block
@@ -55,6 +56,7 @@ class RegimeSpec:
                 raise InvalidRegime(
                     f"inter-sector level {b} exceeds intra-sector level {a}"
                 )
+        check_epoch_length(self.epoch_length)
         if any(d < self.epoch_length for d in self.durations):
             raise InvalidRegime(
                 f"every regime duration must cover one epoch ({self.epoch_length} days)"

@@ -229,6 +229,33 @@ def test_optimize_grid_artifacts(market, tmp_path):
     assert summary["cell_errors"] == {}
 
 
+def test_optimize_summary_holds_the_options_and_the_cell_errors(market, tmp_path):
+    """sigma_summary.json takes k_min, n_init and seed from the options,
+    the chosen cell's values from the grid, and one entry per failed cell."""
+    rc = _run([
+        "optimize", "--prices", market / "prices.csv", "--out", tmp_path,
+        "--epsilon-grid", "0", "--k-range", f"2,{N_EPOCHS + 1}", "--k-min", 2,
+        "--n-init", 3, "--seed", 5,
+    ])
+    assert rc == 0
+    rows = (tmp_path / "sigma_grid.csv").read_text().splitlines()
+    assert rows[2] == f"{N_EPOCHS + 1},0,nan,nan"
+    _, _, sigma, mean = rows[1].split(",")
+    assert json.loads((tmp_path / "sigma_summary.json").read_text()) == {
+        "chosen_k": 2,
+        "chosen_epsilon": 0.0,
+        "sigma_intra": float(sigma),
+        "mean_d_intra": float(mean),
+        "k_min_admissible": 2,
+        "n_init": 3,
+        "seed": 5,
+        "cell_errors": {
+            f"k={N_EPOCHS + 1},epsilon=0.0":
+                f"InsufficientData: k={N_EPOCHS + 1} exceeds {N_EPOCHS} matrices",
+        },
+    }
+
+
 def test_optimize_threads_do_not_change_artifacts(market, tmp_path):
     """Restart parallelism is an implementation detail; artifacts match
     byte for byte across thread counts, at stock and at sector level."""
@@ -541,7 +568,7 @@ def test_negative_seed_fails_before_any_work(command, tmp_path, monkeypatch, cap
 # one out-of-range value per ranged option, and valid values for the
 # options some command requires
 _BAD = {"k": 0, "epsilon": 1.5, "n_init": 1, "threads": 0, "seed": -1, "max_gap": -1,
-        "damping": 1.0}
+        "damping": 1.0, "stride": 0, "epoch": 1, "shift": 0}
 _REQUIRED_OK = {"k": 2, "epsilon_grid": "0", "k_range": "2:3", "k_min": 2}
 
 
@@ -593,8 +620,10 @@ def test_several_bad_options_report_the_first_in_range_order(
         bad = {key: _BAD[key] for key in ranged[i:]}
         if command == "optimize":
             bad["k_min"] = 9  # above the k range: a grid error
+        with pytest.raises(ParameterRange) as expected:
+            cli._RANGES[first](_BAD[first])
         assert _run(_argv(command, bad, tmp_path)) == 1
-        assert f"{first} must be" in capsys.readouterr().err
+        assert f"error[ParameterRange]: {expected.value}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("noise, error, word", [

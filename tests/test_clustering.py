@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 from datetime import date, timedelta
 
@@ -14,8 +13,6 @@ from marketstates.clustering import (
     Clustering,
     _cluster_means,
     grid_csv,
-    grid_summary,
-    grid_summary_json,
     kmeans,
     optimize_states,
     order_states,
@@ -388,7 +385,7 @@ def test_optimize_records_non_finite_points_as_cell_errors(monkeypatch):
         assert cell.error == "ValidationError: points must be finite"
         assert np.isnan(cell.sigma_intra)
         assert grid.cell(k, 0.0).error is None
-    assert grid.chosen_epsilon == 0.0
+    assert grid.chosen[1] == 0.0
 
 
 @pytest.mark.parametrize("metric", ["l1", "l2"])
@@ -429,6 +426,13 @@ def test_sigma_tie_broken_by_lowest_subseed():
     res = sigma_intra(pts, k=1, n_init=5, seed=123)
     assert res.sigma_intra == 0.0
     assert res.best.seed == min(subseed(123, i) for i in range(5))
+
+
+
+def test_subseed_refuses_a_negative_index():
+    with pytest.raises(ValueError) as info:
+        subseed(0, -1)
+    assert str(info.value) == "index must be nonnegative"
 
 
 def test_sigma_thread_count_does_not_change_results():
@@ -574,7 +578,7 @@ def test_optimize_grid_shape_and_eps_zero_column():
     spec = EpochSpec(20, 1)
     grid = optimize_states(rt, spec, None, [0.0, 0.4], [2, 3], 2, 6, 5)
     assert len(grid.cells) == 4
-    assert grid.chosen_k in (2, 3) and grid.chosen_epsilon in (0.0, 0.4)
+    assert grid.chosen[0] in (2, 3) and grid.chosen[1] in (0.0, 0.4)
     mats = rolling_correlations(rt, spec)
     for k in (2, 3):
         direct = sigma_intra(mats, k=k, n_init=6, seed=5)
@@ -633,13 +637,15 @@ def test_optimize_records_cell_errors_without_raising():
     bad = grid.cell(9, 0.0)
     assert bad.error is not None and "InsufficientData" in bad.error
     assert np.isnan(bad.sigma_intra)
-    assert grid.chosen_k == 2
+    assert grid.chosen == (2, 0.0)
+    with pytest.raises(KeyError):
+        grid.cell(3, 0.0)
 
 
 def test_optimize_respects_admissibility_floor():
     rt = _return_table(44, 5, seed=16)
     grid = optimize_states(rt, EpochSpec(20, 1), None, [0.0], [2, 3, 4], 3, 5, 1)
-    assert grid.chosen_k >= 3
+    assert grid.chosen[0] >= 3
 
 
 def test_optimize_rejects_bad_grids():
@@ -692,17 +698,3 @@ def test_grid_csv_round_trip():
         assert float(sig) == cell.sigma_intra
         assert float(mean) == cell.mean_d_intra
 
-
-def test_grid_summary_contents():
-    rt = _return_table(24, 4, seed=19)  # 5 epochs, so k=9 must fail
-    grid = optimize_states(rt, EpochSpec(20, 1), None, [0.0], [2, 9], 2, 4, 3)
-    summary = grid_summary(grid)
-    assert summary["chosen_k"] == grid.chosen_k
-    assert summary["chosen_epsilon"] == grid.chosen_epsilon
-    assert summary["n_init"] == 4
-    assert summary["seed"] == 3
-    assert "k=9,epsilon=0.0" in summary["cell_errors"]
-    with pytest.raises(KeyError):
-        grid.cell(3, 0.0)
-    parsed = json.loads(grid_summary_json(grid))
-    assert parsed["chosen_k"] == grid.chosen_k

@@ -592,6 +592,27 @@ def test_matrix_stack_of_and_indexing():
         MatrixStack(CorrMatrix, 4, stack.data, stack.epoch_ends)
 
 
+
+_DAY = date(2020, 1, 2)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CorrMatrix(3, np.zeros(5), _DAY, 0),
+     "packed data length (5,) does not match dim 3"),
+    (lambda: GuhrMatrix(2, np.zeros(3), _DAY, ("a",)), "1 sector labels for dim 2"),
+    (lambda: MatrixStack(CorrMatrix, 2, np.zeros((3, 3)), (_DAY, _DAY)),
+     "2 epoch ends for 3 rows"),
+    (lambda: average_correlation(CorrMatrix(1, np.ones(1), _DAY, 0)),
+     "average correlation needs dim >= 2"),
+    (lambda: average_correlation(MatrixStack(GuhrMatrix, 1, np.ones((2, 1)), (_DAY, _DAY))),
+     "average correlation needs dim >= 2"),
+], ids=["packed-length", "sector-labels", "epoch-ends", "dim-1-matrix", "dim-1-stack"])
+def test_shapes_that_do_not_fit_raise_validation_errors(build, message):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_scaling_scales_distance():
     rng = np.random.default_rng(21)
     a = _corr_from_square(np.corrcoef(rng.normal(size=(4, 30))))

@@ -24,6 +24,7 @@ from marketstates.errors import (
 )
 from marketstates.ingest import (
     PriceTable,
+    ReturnTable,
     SectorMap,
     filter_stocks,
     load_price_table,
@@ -48,6 +49,14 @@ def test_parse_basic_shape():
     assert table.tickers == ("A", "B")
     assert table.prices[0, 0] == 10.0
     assert table.dates[2].isoformat() == "2020-01-03"
+
+
+
+@pytest.mark.parametrize("table, name", [(PriceTable, "price"), (ReturnTable, "return")])
+def test_tables_refuse_a_grid_of_another_shape(table, name):
+    with pytest.raises(ValidationError) as info:
+        table((date(2020, 1, 2),), ("A", "B"), np.ones((2, 2)))
+    assert str(info.value) == f"{name} grid shape (2, 2) does not match 1 dates x 2 tickers"
 
 
 def test_tickers_sorted_lexicographically():

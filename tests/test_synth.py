@@ -50,6 +50,10 @@ def test_regime_validation():
         _spec(intra=(0.3,), inter=(0.5,))
     with pytest.raises(InvalidRegime):
         _spec(durations=(10,))
+    # a 1-day regime covers a window this short, so the length check alone refuses it
+    for length in (1, -5):
+        with pytest.raises(ParameterRange, match=f"epoch length must be >= 2, got {length}"):
+            _spec(durations=(1,), epoch_length=length)
     with pytest.raises(ValidationError):
         _spec(sector_sizes=())
     with pytest.raises(ValidationError):
