@@ -30,8 +30,9 @@ run, which measures the noise floor, gives the same directory twice.
 A run whose result line reports ``"correct": false`` (some job's outputs
 failed perfbench's checks) stops the runner: it prints the pair, the side
 and the failed/attempted job count to stderr and exits 1, so a side that
-computes wrong answers cannot show up as a gain. ``--out`` then holds the
-runs made so far and the reason.
+computes wrong answers cannot show up as a gain. A run that exits nonzero
+stops it the same way, naming the exit code and the run's last stderr
+line. ``--out`` then holds the runs made so far and the reason.
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ SIDES = ("parent", "change")
 
 
 class FailedRun(Exception):
-    """A run whose result line reports ``"correct": false``. ``runs`` holds
-    the pairs run before it, the failing pair's finished side included."""
+    """A run that exited nonzero or whose result line reports ``"correct":
+    false``. ``runs`` holds the pairs run before it, the failing pair's
+    finished side included."""
 
     def __init__(self, message: str, runs: list[dict[str, dict]] | None = None):
         super().__init__(message)
@@ -86,17 +88,21 @@ def order(pair: int) -> tuple[str, str]:
 
 
 def run_checkout(directory: Path, argv: list[str]) -> tuple[str, str]:
-    """stdout and stderr of one ``perfbench/run.py`` run in ``directory``."""
+    """stdout and stderr of one ``perfbench/run.py`` run in ``directory``;
+    a nonzero exit raises FailedRun with the code and the last stderr line."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", *argv], cwd=directory,
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        last = (proc.stderr.strip().splitlines() or [""])[-1]
+        raise FailedRun(f"exit code {proc.returncode}: {last}")
     return proc.stdout, proc.stderr
 
 
 def run_pairs(dirs: dict[str, Path], argv: list[str], pairs: int,
               run=run_checkout) -> list[dict[str, dict]]:
     """One {side: metrics} dict per pair, sides in alternating order. The
-    first run whose checks failed raises FailedRun, naming its pair and
-    side and carrying the runs made until then."""
+    first run that failed raises FailedRun, naming its pair and side and
+    carrying the runs made until then."""
     out = []
     for i in range(pairs):
         pair = {}

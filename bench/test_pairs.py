@@ -4,6 +4,7 @@ Run with ``python3 -m pytest bench``.
 """
 
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -220,6 +221,39 @@ def test_a_failed_run_stops_the_runner_and_out_keeps_the_runs_so_far(
     captured = capsys.readouterr()
     assert f"stopped: {message}" in captured.err
     assert captured.out == ""  # no summary table
+    doc = json.loads(out.read_text())
+    assert [len(p) for p in doc["pairs"]] == done
+    assert doc["failed"] == message
+    assert "summary" not in doc
+
+
+@pytest.mark.parametrize("failing_call, where, done", [
+    (1, "pair 0 parent", []),
+    (3, "pair 1 change", [2]),
+])
+def test_a_run_that_exits_nonzero_stops_the_runner_and_out_keeps_the_runs_so_far(
+        failing_call, where, done, tmp_path, monkeypatch, capsys):
+    """A checkout whose ``perfbench/run.py`` exits nonzero stops the runner
+    like a failed check: exit 1, the pair, side, exit code and last stderr
+    line named, and ``--out`` holding every finished run."""
+    calls = []
+
+    def fake_run(cmd, cwd, capture_output, text):
+        calls.append(cwd)
+        if len(calls) == failing_call:
+            return subprocess.CompletedProcess(cmd, 3, "", "Traceback ...\nKeyError: 'x'\n")
+        return subprocess.CompletedProcess(cmd, 0, _stdout(3.0), STDERR)
+
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    out = tmp_path / "runs.json"
+    rc = pairs.main([str(ROOT), str(ROOT), "--workload", "grid-guhr", "--pairs", "3",
+                     "--out", str(out)])
+    assert rc == 1
+    assert len(calls) == failing_call
+    message = f"{where}: exit code 3: KeyError: 'x'"
+    captured = capsys.readouterr()
+    assert f"stopped: {message}" in captured.err
+    assert captured.out == ""
     doc = json.loads(out.read_text())
     assert [len(p) for p in doc["pairs"]] == done
     assert doc["failed"] == message

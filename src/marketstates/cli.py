@@ -6,14 +6,19 @@ from flags or an optional ``--config`` file of ``key=value`` lines
 command checks what spans options, computes, and returns its artifacts
 as ``{file name: text}``. The state commands (states, transitions, mds)
 each build one ``StateRun`` and hand it, or the parts they need, to pure
-artifact builders. ``main`` writes the artifacts, then
-``run_meta.json``, only after the command has returned, so a command
-that fails writes no artifact. With a fixed seed every artifact is
-byte-identical across runs and thread counts; wall-clock information
-lives only in ``run_meta.json``.
+artifact builders. ``main`` makes ``--out`` before the command runs, so
+an unusable ``--out`` fails before any work, and writes the artifacts,
+then ``run_meta.json``, only after the command has returned. A command
+that does not finish, whatever stops it, leaves no directory and no file
+of its own: ``main`` unlinks each file it opened for writing, then
+removes the levels of ``--out`` it made with ``rmdir``, so a directory
+holding anything else stays. A file the failed run overwrote is not
+restored. With a fixed seed every artifact is byte-identical across runs
+and thread counts; wall-clock information lives only in
+``run_meta.json``.
 
 Exit codes: 0 success, 1 invalid input or configuration, 2 computation
-failure on valid inputs.
+failure on valid inputs, running out of memory included.
 """
 
 from __future__ import annotations
@@ -457,23 +462,38 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; that code is reserved for
         # computation failures here
         return 0 if exc.code in (0, None) else 1
+    # the levels of --out this run made, deepest first, and the files it
+    # opened for writing: a run that does not finish removes them
+    made, written, done = [], [], False
     try:
         cfg = merge_config(args.command, args)
         out_dir = Path(cfg.out)
         # made before the run, so an unusable --out fails before any work
+        made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
         out_dir.mkdir(parents=True, exist_ok=True)
         started = datetime.now(timezone.utc).isoformat()
         t0 = time.perf_counter()
         run, _, _ = _COMMANDS[args.command]
         artifacts = run(cfg)
+        artifacts["run_meta.json"] = _run_meta(cfg, args.command, started,
+                                               time.perf_counter() - t0)
         for name, text in artifacts.items():
-            (out_dir / name).write_text(text, encoding="utf-8")
-        meta = _run_meta(cfg, args.command, started, time.perf_counter() - t0)
-        (out_dir / "run_meta.json").write_text(meta, encoding="utf-8")
-    except (MarketStatesError, OSError) as exc:
-        tag = "OSError" if isinstance(exc, OSError) else type(exc).__name__
+            with open(out_dir / name, "w", encoding="utf-8") as fh:
+                written.append(out_dir / name)
+                fh.write(text)
+        done = True
+    except (MarketStatesError, OSError, MemoryError) as exc:
+        tag = type(exc).__name__ if isinstance(exc, MarketStatesError) else (
+            "OSError" if isinstance(exc, OSError) else "MemoryError")
         print(f"error[{tag}]: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, ComputationError) else 1
+        return 2 if isinstance(exc, (ComputationError, MemoryError)) else 1
+    finally:
+        if not done:  # rmdir only: a directory holding anything else stays
+            for undo in [p.unlink for p in written] + [p.rmdir for p in made]:
+                try:
+                    undo()
+                except OSError:
+                    pass
     return 0
 
 

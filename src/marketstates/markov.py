@@ -43,6 +43,13 @@ class StateSequence:
     epoch_ends: tuple[date, ...] | None = None
     state_means: tuple[float, ...] | None = None
 
+    def __post_init__(self):
+        # the renderers zip these with the states, so a short one drops rows
+        if self.epoch_ends is not None and len(self.epoch_ends) != len(self):
+            raise ValidationError(f"{len(self.epoch_ends)} epoch ends for {len(self)} states")
+        if self.state_means is not None and len(self.state_means) != self.k:
+            raise ValidationError(f"{len(self.state_means)} state means for k={self.k}")
+
     def __len__(self) -> int:
         return int(self.states.shape[0])
 

@@ -562,7 +562,7 @@ def test_negative_seed_fails_before_any_work(command, tmp_path, monkeypatch, cap
     rc = _run([command, "--out", out, "--seed", -1, *extra])
     assert rc == 1
     assert "error[ParameterRange]: seed must be >= 0, got -1" in capsys.readouterr().err
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
 
 
 # one out-of-range value per ranged option, and valid values for the
@@ -637,7 +637,7 @@ def test_synth_writes_no_prices_its_loader_rejects(tmp_path, capsys, noise, erro
     assert rc == 1
     err = capsys.readouterr().err
     assert f"error[{error}]: " in err and word in err
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_synth_that_fails_late_writes_nothing(tmp_path, capsys):
@@ -648,7 +648,7 @@ def test_synth_that_fails_late_writes_nothing(tmp_path, capsys):
                "--inter", "0.05,0.1", "--durations", "120,120"])
     assert rc == 1
     assert "error[ValidationError]: need at least 2 sectors" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra, word", [
@@ -689,7 +689,7 @@ def test_non_utf8_input_exits_one_with_typed_error(market, tmp_path, capsys, bad
     assert rc == 1
     error = "ValidationError" if bad == "config" else "ParseError"
     assert f"error[{error}]: " in capsys.readouterr().err
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_transitions_large_stride_fails_before_clustering(
@@ -804,7 +804,7 @@ def test_mds_failing_after_its_table_writes_nothing(market, tmp_path, monkeypatc
                "--k", 2, "--n-init", 2, "--seed", 0])
     assert rc == 2
     assert "error[ComputationError]: plot failed" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def _short_market(out, durations):
@@ -832,7 +832,7 @@ def test_too_few_epochs_fail_before_the_pipeline(argv, message, tmp_path, monkey
     out = tmp_path / "out"
     assert _run([*argv, "--prices", prices, "--out", out]) == 1
     assert f"error[InsufficientData]: {message}\n" == capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_mds_runs_on_four_epochs(tmp_path):
@@ -921,6 +921,100 @@ def test_out_path_is_file(market, tmp_path, capsys):
     assert rc == 1
     # every OS error is tagged OSError, whatever its subclass
     assert capsys.readouterr().err.startswith("error[OSError]: ")
+
+
+# ------------------------------------------------- what a failed run leaves
+
+@pytest.fixture(scope="module")
+def small_market(tmp_path_factory):
+    """80 return rows, 6 tickers: 61 epochs at the default length."""
+    d = tmp_path_factory.mktemp("small")
+    assert _run(["synth", "--sector-sizes", "3,3", "--intra", "0.5,0.8",
+                 "--inter", "0.1,0.2", "--durations", "40,40", "--seed", 1,
+                 "--out", d]) == 0
+    return d / "prices.csv"
+
+
+@pytest.mark.parametrize("argv, out, tag, message", [
+    (["transitions", "--k", 1], "out",
+     "ParameterRange", "transitions need k >= 2 for tridiagonality, got 1"),
+    (["optimize", "--epsilon-grid", "0", "--k-range", "2:3", "--k-min", 9], "out",
+     "ValidationError", "no k in [2, 3] reaches the admissibility floor 9"),
+    (["states", "--k", 2, "--pipeline", "guhr"], "out",
+     "ValidationError", "pipeline 'guhr' requires --sectors"),
+    (["states", "--k", 2, "--prices", "missing.csv"], "out",
+     "ValidationError", "price file not found: missing.csv"),
+    (["states", "--k", 500], "out", "InsufficientData", "k=500 exceeds 61 matrices"),
+    (["transitions", "--k", 2, "--stride", 40], "out", "InsufficientSequence",
+     "--stride 40 keeps 2 of 61 epochs; the Markov check needs at least 3 states"),
+    (["states", "--k", 2, "--epoch", 90], "out",
+     "InsufficientData", "80 return rows < epoch length 90"),
+    (["transitions", "--k", 1], "o8/a/b",
+     "ParameterRange", "transitions need k >= 2 for tridiagonality, got 1"),
+])
+def test_a_failed_command_leaves_no_out(argv, out, tag, message, small_market, tmp_path,
+                                        monkeypatch, capsys):
+    """Checks that span options, checks that need the data and a missing
+    input all fail after ``--out`` is made; each level of it that the run
+    made is gone again, and the directory it was made in stays."""
+    monkeypatch.chdir(tmp_path)
+    prices = [] if "--prices" in argv else ["--prices", small_market]
+    assert _run([*argv, *prices, "--out", tmp_path / out]) == 1
+    assert capsys.readouterr().err == f"error[{tag}]: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_write_removes_what_the_run_wrote(small_market, tmp_path, capsys):
+    """``states.csv`` is written before ``states_summary.json`` fails to
+    open; it goes again, and the ``--out`` that was there stays with what
+    it held."""
+    out = tmp_path / "out"
+    (out / "states_summary.json").mkdir(parents=True)
+    assert _run(["states", "--k", 2, "--n-init", 2, "--prices", small_market,
+                 "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error[OSError]: ")
+    assert [p.name for p in out.iterdir()] == ["states_summary.json"]
+    assert list((out / "states_summary.json").iterdir()) == []
+
+
+def test_a_failed_run_leaves_a_prior_out_and_its_files(small_market, tmp_path, capsys):
+    """Files ``main`` did not write survive a failed run, an artifact of an
+    earlier run included."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("mine\n")
+    (out / "states.csv").write_text("earlier\n")
+    assert _run(["states", "--k", 500, "--prices", small_market, "--out", out]) == 1
+    assert "error[InsufficientData]" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "states.csv"]
+    assert (out / "notes.txt").read_text() == "mine\n"
+    assert (out / "states.csv").read_text() == "earlier\n"
+
+
+def test_an_interrupted_run_removes_the_out_it_made(small_market, tmp_path, monkeypatch):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "sigma_intra", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        _run(["states", "--k", 2, "--prices", small_market, "--out", tmp_path / "a" / "out"])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_running_out_of_memory_is_a_typed_computation_failure(
+        small_market, tmp_path, monkeypatch, capsys):
+    """numpy's allocation error, a MemoryError subclass, exits 2 with one
+    typed line and no traceback, and the ``--out`` the run made is gone."""
+    def allocate(*args, **kwargs):
+        return np.empty(2**50, dtype=np.uint8)  # 1 PiB: refused before any page is touched
+
+    monkeypatch.setattr(cli, "sigma_intra", allocate)
+    out = tmp_path / "out"
+    assert _run(["states", "--k", 2, "--prices", small_market, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[MemoryError]: Unable to allocate 1.00 PiB")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_no_command_exits_one():

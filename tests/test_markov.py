@@ -1,5 +1,6 @@
 import json
 import time
+from datetime import date
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,6 +20,7 @@ from marketstates.markov import (
     MAX_SQUARINGS,
     BootstrapPolicy,
     EquilibriumVector,
+    StateSequence,
     TransitionMatrix,
     equilibrium_distribution,
     markovianity_check,
@@ -512,3 +514,14 @@ def test_transitions_json_payload():
     assert mk["threshold"] == report.threshold
     assert (mk["n_boot"], mk["quantile"], mk["seed"]) == (30, 0.95, 1)
     assert mk["note"] == MARKOVIANITY_NOTE
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"epoch_ends": (date(2020, 1, 1), date(2020, 1, 2))}, "2 epoch ends for 4 states"),
+    ({"state_means": (0.1, 0.2, 0.3)}, "3 state means for k=2"),
+])
+def test_state_sequence_refuses_labels_of_another_length(fields, message):
+    """The renderers zip epoch ends with the states, so a short tuple
+    would drop rows without a word; the sequence refuses it instead."""
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        StateSequence(states=np.array([1, 2, 2, 1]), k=2, **fields)
