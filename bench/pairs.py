@@ -25,7 +25,8 @@ worse than the parent's by more than the bound; else ``unresolved`` when
 the parent's interquartile range is wider than the bound, unless every
 run of the change beats every run of the parent; else ``within``. An A/A
 run, which measures the noise floor, gives the same directory twice.
-``--out`` writes every run's values and the summary as JSON.
+``--out`` writes every run's values and the summary as JSON; an
+``--out`` whose directory does not exist is refused before the first pair.
 
 A run whose result line reports ``"correct": false`` (some job's outputs
 failed perfbench's checks) stops the runner: it prints the pair, the side
@@ -218,6 +219,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    # before the first pair, so a path that cannot be written loses no run
+    if args.out is not None and not args.out.parent.is_dir():
+        parser.error(f"--out directory {args.out.parent} does not exist")
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     names = workloads(dirs["parent"])
     if args.workload not in names:

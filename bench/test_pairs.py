@@ -195,6 +195,28 @@ def test_each_benchmark_workload_is_accepted(monkeypatch, capsys):
     assert seen == names == ["transitions-pearson", "grid-guhr", "embed-pearson"]
 
 
+def test_an_out_under_a_missing_directory_is_refused_before_any_pair(
+        tmp_path, monkeypatch, capsys):
+    """Before, the runner wrote ``--out`` only after the last pair, so a
+    missing directory lost every run in a FileNotFoundError."""
+    calls = []
+
+    def fake_run(directory, argv):
+        calls.append(directory)
+        return _stdout(3.0), STDERR
+
+    real = pairs.run_pairs
+    monkeypatch.setattr(pairs, "run_pairs", lambda d, a, n: real(d, a, n, run=fake_run))
+    out = tmp_path / "missing" / "runs.json"
+    with pytest.raises(SystemExit) as exit_info:
+        pairs.main([str(ROOT), str(ROOT), "--workload", "grid-guhr", "--pairs", "2",
+                    "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert calls == []
+    assert f"--out directory {out.parent} does not exist" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("failing_call, where, done", [
     (1, "pair 0 parent", []),
     (3, "pair 1 change", [2]),  # pair 1 runs the change first

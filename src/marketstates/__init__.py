@@ -23,6 +23,7 @@ _EXPORTS = {
     "kmeans": "clustering",
     "optimize_states": "clustering",
     "order_states": "clustering",
+    "partition_d_intra": "clustering",
     "sigma_intra": "clustering",
     "CorrMatrix": "corrmat",
     "EpochSpec": "corrmat",

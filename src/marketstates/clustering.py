@@ -4,9 +4,11 @@ Matrices are clustered as points in packed-triangle space: the rows of
 a MatrixStack (a matrix list is stacked once by ``MatrixStack.of``, and
 a 2-D array is taken as packed rows as it is), under the same L1
 distance used everywhere else (``metric="l1"``, the default); centroids
-are element-wise means. The mean/L1 hybrid lacks a textbook monotone
-convergence guarantee, so MAX_ITER bounds every run; ``metric="l2"``
-selects classical Lloyd with its usual guarantees.
+are element-wise means. ``kmeans`` is seeding, then ``_lloyd`` (the one
+Lloyd loop), then ``_mean_own_distance`` (the one d_intra, which
+``partition_d_intra`` gives any partition). The mean/L1 hybrid can raise
+its objective (``test_l1_mean_update_can_raise_d_intra``), so MAX_ITER
+bounds every run; ``metric="l2"`` selects classical Lloyd.
 
 Model selection follows the dispersion-of-restarts signal: run k-means
 n_init times from different seeded starts, take the population standard
@@ -197,6 +199,24 @@ def kmeans(
 
     rng = np.random.default_rng(seed)
     centroids = pts[rng.choice(n, size=k, replace=False)].copy()
+    assign, centroids, history, converged = _lloyd(pts, centroids, kind, to_distance)
+    return Clustering(
+        k=k,
+        assignments=assign,
+        centroids=centroids,
+        d_intra=_mean_own_distance(pts, centroids, assign, kind, to_distance),
+        seed=seed,
+        iterations=len(history),
+        converged=converged,
+        d_intra_history=history,
+    )
+
+
+def _lloyd(pts: np.ndarray, centroids: np.ndarray, kind: str, to_distance):
+    """Lloyd passes from ``centroids`` until the assignment repeats, at
+    most MAX_ITER: ``(assignment, centroids, history, converged)``, with
+    one mean own distance in ``history`` per pass (see ``kmeans``)."""
+    n, k = pts.shape[0], centroids.shape[0]
     assign = np.full(n, -1, dtype=np.int64)
     history: list[float] = []
     converged = False
@@ -224,19 +244,34 @@ def kmeans(
             break
         assign = new_assign
         centroids = _cluster_means(pts, assign, sizes)
+    return assign, centroids, tuple(history), converged
 
-    final = _centroid_distances(centroids, pts, kind)
-    d_intra = float(to_distance(np.take_along_axis(final, assign[None], 0)).mean())
-    return Clustering(
-        k=k,
-        assignments=assign,
-        centroids=centroids,
-        d_intra=d_intra,
-        seed=seed,
-        iterations=len(history),
-        converged=converged,
-        d_intra_history=tuple(history),
-    )
+
+def _mean_own_distance(pts, centroids, assign, kind: str, to_distance) -> float:
+    """d_intra: the mean distance from each point to its own centroid."""
+    dist = _centroid_distances(centroids, pts, kind)
+    d_intra = float(to_distance(np.take_along_axis(dist, assign[None], 0)).mean())
+    if not np.isfinite(d_intra):
+        raise ValidationError("points must be finite")
+    return d_intra
+
+
+def partition_d_intra(points, labels, metric: str = "l1") -> float:
+    """d_intra of a partition: the mean distance from each point to the
+    mean of its label's points, labels being any integer ids; a converged
+    ``kmeans`` run's ``d_intra``, bit for bit, under any renaming of its ids."""
+    pts = _packed_rows(points)
+    check_metric(metric)
+    if not pts.shape[0]:
+        raise InsufficientData("no points to score")
+    labels = np.asarray(labels)
+    if labels.shape != (pts.shape[0],) or not np.issubdtype(labels.dtype, np.integer):
+        raise ValidationError(
+            f"expected {pts.shape[0]} integer labels, got {labels.dtype} {labels.shape}"
+        )
+    _, assign = np.unique(labels, return_inverse=True)
+    centroids = _cluster_means(pts, assign, np.bincount(assign))
+    return _mean_own_distance(pts, centroids, assign, *_METRICS[metric])
 
 
 class SigmaIntraResult(NamedTuple):

@@ -70,6 +70,14 @@ class EpochSpec:
         return (rows - self.length) // self.shift + 1
 
 
+def check_packed_array(data):
+    """Packed data is taken as it is, never converted: a stack's rows and
+    the matrices built on them, or the distances and the Gram matrix
+    ``classical_mds`` builds in them, share one buffer."""
+    if not isinstance(data, np.ndarray):
+        raise ValidationError(f"packed data must be an ndarray, got {type(data).__name__}")
+
+
 @dataclass(frozen=True)
 class _EpochMatrix:
     """One epoch's symmetric matrix as its packed upper triangle."""
@@ -79,6 +87,7 @@ class _EpochMatrix:
     epoch_end: date
 
     def __post_init__(self):
+        check_packed_array(self.data)
         if self.data.shape != (packed.packed_length(self.dim),):
             raise ValidationError(
                 f"packed data length {self.data.shape} does not match dim {self.dim}"
@@ -129,6 +138,7 @@ class MatrixStack:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        check_packed_array(self.data)
         if self.data.ndim != 2 or self.data.shape[1] != packed.packed_length(self.dim):
             raise ValidationError(
                 f"stack data shape {self.data.shape} does not match dim {self.dim}"

@@ -42,7 +42,7 @@ from scipy.spatial.distance import cdist
 
 from . import packed
 from .clustering import thread_map
-from .corrmat import MatrixStack
+from .corrmat import MatrixStack, check_packed_array
 from .errors import DegradedRankWarning, ParameterRange, ValidationError
 from .markov import StateSequence
 
@@ -67,6 +67,9 @@ class DistanceMatrix:
     d: np.ndarray | None
 
     def __post_init__(self):
+        check_packed_array(self.d)
+        if self.d.dtype != np.float64:
+            raise ValidationError(f"distances must be float64, got {self.d.dtype}")
         if self.d.shape != (packed.packed_length(self.n),):
             raise ValidationError(
                 f"packed length {self.d.shape} does not match n={self.n}"

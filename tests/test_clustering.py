@@ -3,7 +3,7 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
@@ -12,10 +12,12 @@ from marketstates.clustering import (
     MAX_ITER,
     Clustering,
     _cluster_means,
+    _lloyd,
     grid_csv,
     kmeans,
     optimize_states,
     order_states,
+    partition_d_intra,
     sigma_intra,
 )
 from marketstates.corrmat import (
@@ -190,6 +192,24 @@ def test_history_descends_end_to_end():
                 assert c.d_intra == h[-1]
 
 
+def test_l1_mean_update_can_raise_d_intra():
+    """The mean is not the L1 centre: from the start centroid 0 the mean
+    update moves to 2.5, which raises the mean own distance from 2.5 to
+    3.75. The loop stops on the repeated assignment, not on a falling
+    objective, and the scorer gives the run's final value."""
+    pts = np.array([[0.0], [0.0], [0.0], [10.0]])
+    c = kmeans(pts, k=1, seed=1)
+    assert c.d_intra_history == (2.5, 3.75)
+    assert c.converged and c.d_intra == 3.75
+    assign, centroids, history, converged = _lloyd(
+        pts, np.array([[0.0]]), *clustering._METRICS["l1"]
+    )
+    assert history == (2.5, 3.75) and converged
+    assert centroids.tolist() == [[2.5]] and (assign == 0).all()
+    assert partition_d_intra(pts, [7, 7, 7, 7]) == 3.75
+    assert partition_d_intra(pts, [7, 7, 7, -1]) == 0.0
+
+
 def test_no_empty_clusters_with_duplicate_points():
     base = np.array([[0.0, 0.0], [0.0, 0.0], [10.0, 0.0], [10.1, 0.0], [5.0, 3.0]])
     for seed in range(30):
@@ -274,6 +294,61 @@ def test_membership_means_equal_masked_means_bits(n, p, k, seed, repeats):
     got = _cluster_means(pts, assign, sizes)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    dim=st.sampled_from([1, 2, 3, 10]),
+    k=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    metric=st.sampled_from(["l1", "l2"]),
+    shift=st.integers(-1000, 1000),
+    repeats=st.booleans(),
+)
+def test_partition_d_intra_is_converged_kmeans_d_intra_bits(
+        n, dim, k, seed, metric, shift, repeats):
+    """One d_intra: the scorer on a converged run's assignments gives its
+    d_intra bit for bit, also with the ids permuted, spread and shifted,
+    and with the points given as a MatrixStack."""
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    pts = _rough_values(rng, (n, packed.packed_length(dim)))
+    if repeats:
+        pts = pts[rng.integers(0, max(1, n // 3), size=n)]
+    c = kmeans(pts, k, seed, metric=metric)
+    assume(c.converged)
+    renamed = 3 * rng.permutation(k)[c.assignments] + shift
+    ends = tuple(date(2015, 1, 1) + timedelta(days=t) for t in range(n))
+    stack = MatrixStack(CorrMatrix, dim, pts, ends)
+    assert partition_d_intra(pts, c.assignments, metric) == c.d_intra
+    assert partition_d_intra(pts, renamed, metric) == c.d_intra
+    assert partition_d_intra(stack, renamed, metric) == c.d_intra
+
+
+@pytest.mark.parametrize("labels", [
+    [0, 1, 0, 1, 0],
+    np.zeros((6, 1), dtype=np.int64),
+    np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0]),
+    np.ones(6, dtype=bool),
+    ["a"] * 6,
+], ids=["short", "2-D", "float", "bool", "str"])
+def test_partition_d_intra_refuses_labels_that_do_not_fit(labels):
+    pts = np.random.default_rng(20).normal(size=(6, 3))
+    with pytest.raises(ValidationError, match="expected 6 integer labels"):
+        partition_d_intra(pts, labels)
+
+
+def test_partition_d_intra_refuses_bad_points_and_metrics():
+    pts = np.random.default_rng(21).normal(size=(6, 3))
+    labels = [0, 0, 0, 1, 1, 1]
+    with pytest.raises(ParameterRange, match="metric must be one of"):
+        partition_d_intra(pts, labels, metric="cosine")
+    with pytest.raises(InsufficientData, match="no points to score"):
+        partition_d_intra(np.empty((0, 3)), [])
+    pts[4, 1] = np.nan
+    with pytest.raises(ValidationError, match="points must be finite"):
+        partition_d_intra(pts, labels)
 
 
 # 1 MB point tiles, so that test-sized arrays span several

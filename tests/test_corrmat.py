@@ -606,7 +606,16 @@ _DAY = date(2020, 1, 2)
      "average correlation needs dim >= 2"),
     (lambda: average_correlation(MatrixStack(GuhrMatrix, 1, np.ones((2, 1)), (_DAY, _DAY))),
      "average correlation needs dim >= 2"),
-], ids=["packed-length", "sector-labels", "epoch-ends", "dim-1-matrix", "dim-1-stack"])
+    # packed data is never converted, so a matrix built on a stack's row
+    # shares its buffer; before, these raised AttributeError
+    (lambda: CorrMatrix(2, [1.0, 0.5, 1.0], _DAY, 0),
+     "packed data must be an ndarray, got list"),
+    (lambda: GuhrMatrix(2, (0.5, 0.2, 0.6), _DAY, ("a", "b")),
+     "packed data must be an ndarray, got tuple"),
+    (lambda: MatrixStack(CorrMatrix, 2, [[1.0, 0.5, 1.0]], (_DAY,)),
+     "packed data must be an ndarray, got list"),
+], ids=["packed-length", "sector-labels", "epoch-ends", "dim-1-matrix", "dim-1-stack",
+        "list-matrix", "tuple-guhr-matrix", "list-stack"])
 def test_shapes_that_do_not_fit_raise_validation_errors(build, message):
     with pytest.raises(ValidationError) as info:
         build()

@@ -284,6 +284,21 @@ def test_distance_container_validation():
         DistanceMatrix(n=3, d=diag)
 
 
+@pytest.mark.parametrize("d, message", [
+    (np.array([0, 1, 2, 0, 3, 0]), "distances must be float64, got int64"),
+    (np.zeros(6, dtype=np.float32), "distances must be float64, got float32"),
+    ([0.0, 1.0, 2.0, 0.0, 3.0, 0.0], "packed data must be an ndarray, got list"),
+], ids=["int64", "float32", "list"])
+def test_distances_that_are_not_a_float64_array_are_refused(d, message):
+    """Distances are never converted, since ``classical_mds`` builds its
+    Gram matrix in their buffer. Before, an int64 buffer reached the
+    in-place ``a *= -0.5`` (numpy's UFuncTypeError) and a list raised
+    AttributeError."""
+    with pytest.raises(ValidationError) as info:
+        DistanceMatrix(n=3, d=d)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("off_diagonal, ok", [
     ((0.0, 1.0, 2.0), True),
     ((-0.0, 1.0, 2.0), True),

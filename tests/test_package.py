@@ -11,7 +11,8 @@ import pytest
 import marketstates
 from marketstates import clustering, markov
 
-# the 61 names of the package namespace, as listed before the export table
+# the 62 names of the package namespace: the 61 listed before the export
+# table, and partition_d_intra
 PUBLIC_NAMES = {
     "BootstrapPolicy", "Clustering", "ComputationError", "CorrMatrix",
     "DegenerateColumn", "DegradedRankWarning", "DimensionMismatch",
@@ -28,14 +29,14 @@ PUBLIC_NAMES = {
     "generate_block_market", "generate_markov_sequence", "kmeans",
     "load_price_table", "load_sector_map", "log_returns",
     "markovianity_check", "matrix_distance", "optimize_states",
-    "order_states", "parse_price_table", "parse_sector_map",
+    "order_states", "parse_price_table", "partition_d_intra", "parse_sector_map",
     "pipeline_matrices", "power_map", "rolling_correlations", "sigma_intra",
     "transition_matrix", "tridiagonality",
 }
 
 
 def test_all_lists_the_public_names():
-    assert len(PUBLIC_NAMES) == 61
+    assert len(PUBLIC_NAMES) == 62
     assert set(marketstates.__all__) == PUBLIC_NAMES
     assert PUBLIC_NAMES <= set(dir(marketstates))
 
