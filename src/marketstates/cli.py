@@ -40,6 +40,7 @@ from . import __version__
 from .clustering import (
     check_grid,
     check_k,
+    check_metric,
     check_n_init,
     check_threads,
     grid_csv,
@@ -156,7 +157,7 @@ _OPTION_DEFS = {
     "k_min": (int, _REQUIRED, "smallest k admissible when choosing the grid optimum"),
     "n_init": (int, 100, "k-means restarts per cell"),
     "seed": (int, 0, "base seed for all randomized steps"),
-    "metric": (_choice("l1", "l2"), "l1", "clustering metric"),
+    "metric": (str, "l1", "clustering metric"),
     "pipeline": (_choice("pearson", "guhr"), "pearson",
                  "cluster stock-level or sector-level matrices"),
     "stride": (int, 1, "subsample the state sequence before counting transitions"),
@@ -185,7 +186,8 @@ def _check_stride(stride: int):
 _RANGES = {"k": check_k, "epsilon": check_epsilon, "n_init": check_n_init,
            "threads": check_threads, "seed": check_seed, "max_gap": check_max_gap,
            "damping": check_damping, "stride": _check_stride,
-           "epoch": check_epoch_length, "shift": check_epoch_shift}
+           "epoch": check_epoch_length, "shift": check_epoch_shift,
+           "metric": check_metric}
 
 
 def _convert(key: str, raw, source: str):

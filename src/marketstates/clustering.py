@@ -20,15 +20,19 @@ Determinism contract: given (matrices, k, seed, metric) the
 assignment vector is bit-identical across runs, thread counts, and
 schedules. Restarts derive sub-seeds from the base seed by index, so
 their results do not depend on how many workers run them, or in what
-order.
+order. ``thread_map`` runs them on at most one worker per CPU and yields
+them in restart order; ``sigma_intra`` keeps the best run so far as they
+stream in, and the unique (d_intra, sub-seed) minimum is the same run
+whatever the order.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csc_array
@@ -98,11 +102,16 @@ def check_metric(metric: str):
         raise ParameterRange(f"metric must be one of {tuple(_METRICS)}, got {metric!r}")
 
 
-def thread_map(fn, items, threads: int) -> list:
-    """``[fn(x) for x in items]`` in order, on ``threads`` worker threads."""
+def thread_map(fn, items, threads: int) -> Iterator:
+    """Each ``fn(x)``, yielded in item order as it arrives, from at most
+    ``min(threads, os.cpu_count())`` worker threads; ``threads`` is checked first."""
     check_threads(threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+
+    def ordered():
+        with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
+            yield from pool.map(fn, items)
+
+    return ordered()
 
 
 def _cluster_means(pts: np.ndarray, assign: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -294,7 +303,8 @@ def sigma_intra(
 
     Sub-seed i is a fixed 64-bit mix of (seed, i), so the restart set is
     reproducible and independent of execution order. The best run is the
-    minimal d_intra, ties broken by the lowest sub-seed value.
+    minimal d_intra, ties broken by the lowest sub-seed value; it is kept
+    as the runs stream in, and every other run is dropped on arrival.
     """
     check_seed(seed)
     check_n_init(n_init)
@@ -305,15 +315,13 @@ def sigma_intra(
         return kmeans(pts, k, s, metric=metric)
 
     runs = thread_map(run, seeds, threads)
-
-    d = np.array([r.d_intra for r in runs])
-    best_i = min(range(n_init), key=lambda i: (d[i], seeds[i]))
-    return SigmaIntraResult(
-        mean_d_intra=float(d.mean()),
-        sigma_intra=float(d.std()),
-        best=runs[best_i],
-        d_intras=tuple(float(x) for x in d),
-    )
+    best = next(runs)
+    d_intras = [best.d_intra]
+    for r in runs:  # a run that is not the best is dropped as it arrives
+        d_intras.append(r.d_intra)
+        best = min(best, r, key=lambda c: (c.d_intra, c.seed))
+    d = np.array(d_intras)
+    return SigmaIntraResult(float(d.mean()), float(d.std()), best, tuple(d_intras))
 
 
 @dataclass(frozen=True)

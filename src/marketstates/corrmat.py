@@ -78,6 +78,17 @@ def check_packed_array(data):
         raise ValidationError(f"packed data must be an ndarray, got {type(data).__name__}")
 
 
+def _check_labels(kind: type, dim: int, labels):
+    """Labels name the ``dim`` variables: a Guhr matrix's sectors, which it
+    needs, or a correlation matrix's tickers, which may be None."""
+    name = "sector" if kind is GuhrMatrix else "ticker"
+    if labels is None:
+        if kind is GuhrMatrix:
+            raise ValidationError(f"a dim-{dim} Guhr matrix needs its {dim} sector labels")
+    elif len(labels) != dim:
+        raise ValidationError(f"{len(labels)} {name} labels for dim {dim}")
+
+
 @dataclass(frozen=True)
 class _EpochMatrix:
     """One epoch's symmetric matrix as its packed upper triangle."""
@@ -92,6 +103,7 @@ class _EpochMatrix:
             raise ValidationError(
                 f"packed data length {self.data.shape} does not match dim {self.dim}"
             )
+        _check_labels(type(self), self.dim, self.labels)
 
     def full(self) -> np.ndarray:
         return packed.unpack(self.data, self.dim)
@@ -104,6 +116,10 @@ class CorrMatrix(_EpochMatrix):
     epoch_index: int
     tickers: tuple[str, ...] | None = None
 
+    @property
+    def labels(self) -> tuple[str, ...] | None:
+        return self.tickers
+
 
 @dataclass(frozen=True)
 class GuhrMatrix(_EpochMatrix):
@@ -112,12 +128,9 @@ class GuhrMatrix(_EpochMatrix):
     sectors: tuple[str, ...]
     epoch_index: int = 0
 
-    def __post_init__(self):
-        super().__post_init__()
-        if len(self.sectors) != self.dim:
-            raise ValidationError(
-                f"{len(self.sectors)} sector labels for dim {self.dim}"
-            )
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return self.sectors
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +138,9 @@ class MatrixStack:
     """Same-kind epoch matrices as the rows of one read-only array.
 
     ``kind`` is :class:`CorrMatrix` or :class:`GuhrMatrix`; ``data`` has
-    shape (n_epochs, packed_length(dim)); ``labels`` are the tickers of a
-    correlation stack (possibly None) or the sectors of a Guhr stack.
+    shape (n_epochs, packed_length(dim)); ``labels`` are the dim tickers of
+    a correlation stack (possibly None) or the dim sectors of a Guhr stack,
+    which the stack and each element refuse in any other count or as None.
     ``stack[i]`` is the element kind built on a view of row i with
     ``epoch_index=i``, and iterating a stack yields them in epoch order.
     """
@@ -147,6 +161,7 @@ class MatrixStack:
             raise ValidationError(
                 f"{len(self.epoch_ends)} epoch ends for {self.data.shape[0]} rows"
             )
+        _check_labels(self.kind, self.dim, self.labels)
         view = self.data.view()
         view.flags.writeable = False
         object.__setattr__(self, "data", view)
@@ -178,7 +193,7 @@ class MatrixStack:
             dim=first.dim,
             data=np.vstack([m.data for m in seq]),
             epoch_ends=tuple(m.epoch_end for m in seq),
-            labels=first.sectors if isinstance(first, GuhrMatrix) else first.tickers,
+            labels=first.labels,
         )
 
     def __len__(self) -> int:
@@ -340,7 +355,7 @@ def coarse_grain(c, sectors: SectorMap):
     stack = c if isinstance(c, MatrixStack) else MatrixStack.of([c])
     if stack.kind is not CorrMatrix:
         raise ValidationError("coarse graining takes correlation matrices")
-    if stack.labels is None or len(stack.labels) != stack.dim:
+    if stack.labels is None:
         raise ValidationError(
             f"a dim-{stack.dim} correlation matrix needs its {stack.dim} tickers"
         )

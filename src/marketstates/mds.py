@@ -138,7 +138,7 @@ def distance_matrix(matrices, threads: int = 1) -> DistanceMatrix:
     the distances of every row from the tile's first on to the tile's
     rows, one column per tile row, so the large operand is read once per
     tile while the tile's rows stay in cache. Each column's entries below
-    the diagonal go to that row's packed offsets. The tiles run on
+    the diagonal go to that row's packed offsets. The tiles run on at most
     ``threads`` worker threads; the result does not depend on the count.
     """
     stack = MatrixStack.of(matrices)
@@ -155,7 +155,7 @@ def distance_matrix(matrices, threads: int = 1) -> DistanceMatrix:
         for i in range(lo, hi):
             d[diag[i] + 1 : diag[i] + n - i] = block[i - lo + 1 :, i - lo]
 
-    thread_map(tile, range(0, n, TILE_ROWS), threads)
+    list(thread_map(tile, range(0, n, TILE_ROWS), threads))  # the tiles write d
     return DistanceMatrix(n=n, d=d)
 
 

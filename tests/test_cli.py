@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from marketstates import cli
 from marketstates.cli import build_parser, main, merge_config
-from marketstates.errors import ComputationError, ParameterRange
+from marketstates.errors import ComputationError, InsufficientData, ParameterRange
 from marketstates.ingest import load_price_table
 
 # two regimes of 120 return days each: 241 price rows, 15 tickers,
@@ -568,7 +568,7 @@ def test_negative_seed_fails_before_any_work(command, tmp_path, monkeypatch, cap
 # one out-of-range value per ranged option, and valid values for the
 # options some command requires
 _BAD = {"k": 0, "epsilon": 1.5, "n_init": 1, "threads": 0, "seed": -1, "max_gap": -1,
-        "damping": 1.0, "stride": 0, "epoch": 1, "shift": 0}
+        "damping": 1.0, "stride": 0, "epoch": 1, "shift": 0, "metric": "l3"}
 _REQUIRED_OK = {"k": 2, "epsilon_grid": "0", "k_range": "2:3", "k_min": 2}
 
 
@@ -882,10 +882,13 @@ def test_bad_flag_value(market, tmp_path, capsys):
 
 
 def test_bad_metric_value(market, tmp_path, capsys):
+    """The metric names have one owner, ``clustering._METRICS``, whose
+    check runs in ``_RANGES`` order."""
     rc = _run(["states", "--prices", market / "prices.csv",
                "--out", tmp_path, "--k", 2, "--metric", "l3"])
     assert rc == 1
-    assert "must be one of l1, l2" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error[ParameterRange]: metric must be one of ('l1', 'l2'), got 'l3'\n")
 
 
 def test_k_larger_than_epoch_count(market, tmp_path, capsys):
@@ -989,6 +992,35 @@ def test_a_failed_run_leaves_a_prior_out_and_its_files(small_market, tmp_path, c
     assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "states.csv"]
     assert (out / "notes.txt").read_text() == "mine\n"
     assert (out / "states.csv").read_text() == "earlier\n"
+
+
+@pytest.mark.parametrize("fails_in", ["command", "write"])
+def test_a_failed_run_keeps_the_out_it_made_once_it_holds_a_foreign_file(
+        fails_in, small_market, tmp_path, monkeypatch, capsys):
+    """A file ``main`` did not write, put into the ``--out`` it made while
+    the command ran, keeps that directory and its parents: ``main``'s own
+    files go, each ``rmdir`` fails and is passed over, and the error is
+    the one that stopped the run."""
+    out = tmp_path / "a" / "out"
+
+    def write_foreign_then_fail(cfg):
+        (Path(cfg.out) / "foreign.txt").write_text("not the run's\n")
+        if fails_in == "command":
+            raise InsufficientData("k=500 exceeds 61 matrices")
+        # the first artifact is written, the second cannot be opened
+        return {"states.csv": "epoch_end,state\n", "missing/summary.json": "{}\n"}
+
+    _, help_text, options = cli._COMMANDS["states"]
+    monkeypatch.setitem(cli._COMMANDS, "states", (write_foreign_then_fail, help_text, options))
+    assert _run(["states", "--k", 2, "--prices", small_market, "--out", out]) == 1
+    assert capsys.readouterr().err == {
+        "command": "error[InsufficientData]: k=500 exceeds 61 matrices\n",
+        "write": f"error[OSError]: [Errno 2] No such file or directory: "
+                 f"'{out / 'missing' / 'summary.json'}'\n",
+    }[fails_in]
+    assert [p.name for p in out.iterdir()] == ["foreign.txt"]
+    assert (out / "foreign.txt").read_text() == "not the run's\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["a"]
 
 
 def test_an_interrupted_run_removes_the_out_it_made(small_market, tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import os
+import time
 import tracemalloc
 from datetime import date, timedelta
 
@@ -517,6 +519,73 @@ def test_sigma_thread_count_does_not_change_results():
     assert serial.d_intras == parallel.d_intras
     assert serial.best.seed == parallel.best.seed
     np.testing.assert_array_equal(serial.best.assignments, parallel.best.assignments)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sigma_holds_only_the_best_run_and_the_running_ones(threads):
+    """Runs are dropped as they arrive, so the traced peak of one call is a
+    few runs' centroids and assignments, not n_init of them (26 to 30 such
+    units when every run was held to the end, at most 8.5 measured since)."""
+    n, p, k, n_init = 200, 5000, 8, 24
+    pts = np.random.default_rng(29).normal(size=(n, p))
+    unit = (k * p + n) * 8
+    sigma_intra(pts, k, n_init, seed=0, threads=threads)  # lazy imports and the pool
+    tracemalloc.start()
+    try:
+        res = sigma_intra(pts, k, n_init, seed=0, threads=threads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(res.d_intras) == n_init
+    assert peak < 12 * unit
+
+
+def test_thread_map_caps_its_workers_at_the_cpu_count(monkeypatch):
+    """However many threads are asked for, the pool gets at most one per
+    CPU, and starts no more; ``sigma_intra``'s bits do not change."""
+    pools = []
+
+    class Recording(clustering.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            pools.append(self)
+            self.asked, self.started = max_workers, 0
+
+        def shutdown(self, *args, **kwargs):
+            self.started = len(self._threads)
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(clustering, "ThreadPoolExecutor", Recording)
+    cpus = os.cpu_count() or 1
+    pts = np.random.default_rng(11).normal(size=(50, 8))
+    many = sigma_intra(pts, k=3, n_init=2 * cpus + 1, seed=2, threads=10**6)
+    assert [pool.asked for pool in pools] == [cpus]
+    assert pools[0].started <= cpus
+    one = sigma_intra(pts, k=3, n_init=2 * cpus + 1, seed=2, threads=1)
+    assert pools[1].asked == pools[1].started == 1
+    assert many.d_intras == one.d_intras
+    assert many.best.seed == one.best.seed
+
+
+def test_thread_map_yields_in_item_order_and_checks_threads_at_the_call():
+    """The results come as an iterator, in item order whatever order the
+    workers finish in; a bad worker count raises before any item runs."""
+    finish = [0.03, 0.0, 0.02, 0.01]
+
+    def slow(i):
+        time.sleep(finish[i])
+        return i * i
+
+    results = clustering.thread_map(slow, range(4), threads=4)
+    assert iter(results) is results
+    assert list(results) == [0, 1, 4, 9]
+
+    def unreachable(x):
+        raise AssertionError("an item ran")
+
+    for bad in (0, -1):
+        with pytest.raises(ParameterRange, match="threads must be >= 1"):
+            clustering.thread_map(unreachable, [1], bad)
 
 
 def test_sigma_requires_two_restarts():

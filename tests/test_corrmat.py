@@ -604,7 +604,8 @@ _DAY = date(2020, 1, 2)
      "2 epoch ends for 3 rows"),
     (lambda: average_correlation(CorrMatrix(1, np.ones(1), _DAY, 0)),
      "average correlation needs dim >= 2"),
-    (lambda: average_correlation(MatrixStack(GuhrMatrix, 1, np.ones((2, 1)), (_DAY, _DAY))),
+    (lambda: average_correlation(
+        MatrixStack(GuhrMatrix, 1, np.ones((2, 1)), (_DAY, _DAY), labels=("a",))),
      "average correlation needs dim >= 2"),
     # packed data is never converted, so a matrix built on a stack's row
     # shares its buffer; before, these raised AttributeError
@@ -614,8 +615,22 @@ _DAY = date(2020, 1, 2)
      "packed data must be an ndarray, got tuple"),
     (lambda: MatrixStack(CorrMatrix, 2, [[1.0, 0.5, 1.0]], (_DAY,)),
      "packed data must be an ndarray, got list"),
+    # one check of labels for the stack and both element kinds; before,
+    # these were accepted, and a Guhr stack's elements raised TypeError
+    (lambda: MatrixStack(GuhrMatrix, 2, np.zeros((2, 3)), (_DAY, _DAY)),
+     "a dim-2 Guhr matrix needs its 2 sector labels"),
+    (lambda: GuhrMatrix(2, np.zeros(3), _DAY, None),
+     "a dim-2 Guhr matrix needs its 2 sector labels"),
+    (lambda: MatrixStack(GuhrMatrix, 3, np.zeros((2, 6)), (_DAY, _DAY), labels=("a",)),
+     "1 sector labels for dim 3"),
+    (lambda: CorrMatrix(2, np.zeros(3), _DAY, 0, tickers=("a", "b", "c")),
+     "3 ticker labels for dim 2"),
+    (lambda: MatrixStack(CorrMatrix, 2, np.zeros((1, 3)), (_DAY,), labels=("a",)),
+     "1 ticker labels for dim 2"),
 ], ids=["packed-length", "sector-labels", "epoch-ends", "dim-1-matrix", "dim-1-stack",
-        "list-matrix", "tuple-guhr-matrix", "list-stack"])
+        "list-matrix", "tuple-guhr-matrix", "list-stack", "unlabelled-guhr-stack",
+        "unlabelled-guhr-matrix", "short-guhr-stack-labels", "long-tickers",
+        "short-stack-tickers"])
 def test_shapes_that_do_not_fit_raise_validation_errors(build, message):
     with pytest.raises(ValidationError) as info:
         build()

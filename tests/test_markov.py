@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from marketstates import markov
 from marketstates.errors import (
     InsufficientSequence,
     NonErgodic,
@@ -171,6 +172,19 @@ def test_periodic_chain_raises_and_damping_fixes():
         equilibrium_distribution(t)
     ev = equilibrium_distribution(t, damping=1e-3)
     np.testing.assert_allclose(ev.pi, [0.25, 0.5, 0.25], atol=1e-3)
+
+
+def test_a_chain_that_does_not_settle_in_max_squarings_raises(monkeypatch):
+    """The one raise past the periodicity check: an aperiodic chain whose
+    powers still move after the last allowed squaring."""
+    p = np.array([[0.9, 0.1], [0.2, 0.8]])
+    assert equilibrium_distribution(_tm(p)).steps > 1
+    monkeypatch.setattr(markov, "MAX_SQUARINGS", 1)
+    with pytest.raises(NonErgodic) as info:
+        equilibrium_distribution(_tm(p))
+    assert str(info.value) == (
+        "P^(2^n) did not settle in 1 squarings; retry with damping=1e-3"
+    )
 
 
 def _positive_chain(k: int):
