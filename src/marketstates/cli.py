@@ -130,15 +130,6 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
-def _choice(*options: str):
-    def conv(text: str) -> str:
-        if text not in options:
-            raise ValueError(f"must be one of {', '.join(options)}")
-        return text
-
-    return conv
-
-
 _REQUIRED = object()
 
 # dest -> (converter, default, help)
@@ -158,8 +149,7 @@ _OPTION_DEFS = {
     "n_init": (int, 100, "k-means restarts per cell"),
     "seed": (int, 0, "base seed for all randomized steps"),
     "metric": (str, "l1", "clustering metric"),
-    "pipeline": (_choice("pearson", "guhr"), "pearson",
-                 "cluster stock-level or sector-level matrices"),
+    "pipeline": (str, "pearson", "cluster stock-level or sector-level matrices"),
     "stride": (int, 1, "subsample the state sequence before counting transitions"),
     "damping": (float, 0.0, "equilibrium damping toward the uniform chain"),
     "threads": (int, os.cpu_count() or 1, "worker threads for restarts and distance tiles"),
@@ -181,13 +171,22 @@ def _check_stride(stride: int):
         raise ParameterRange(f"stride must be >= 1, got {stride}")
 
 
+_PIPELINES = ("pearson", "guhr")
+
+
+def _check_pipeline(pipeline: str):
+    """Stock-level ``pearson`` or sector-level ``guhr`` matrices."""
+    if pipeline not in _PIPELINES:
+        raise ParameterRange(f"pipeline must be one of {_PIPELINES}, got {pipeline!r}")
+
+
 # option -> its range check, the library's where it has one; merge_config
 # runs them in this order
 _RANGES = {"k": check_k, "epsilon": check_epsilon, "n_init": check_n_init,
            "threads": check_threads, "seed": check_seed, "max_gap": check_max_gap,
            "damping": check_damping, "stride": _check_stride,
            "epoch": check_epoch_length, "shift": check_epoch_shift,
-           "metric": check_metric}
+           "metric": check_metric, "pipeline": _check_pipeline}
 
 
 def _convert(key: str, raw, source: str):

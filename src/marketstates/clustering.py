@@ -20,19 +20,21 @@ Determinism contract: given (matrices, k, seed, metric) the
 assignment vector is bit-identical across runs, thread counts, and
 schedules. Restarts derive sub-seeds from the base seed by index, so
 their results do not depend on how many workers run them, or in what
-order. ``thread_map`` runs them on at most one worker per CPU and yields
-them in restart order; ``sigma_intra`` keeps the best run so far as they
-stream in, and the unique (d_intra, sub-seed) minimum is the same run
-whatever the order.
+order. ``thread_map`` runs them on at most one worker per CPU and returns
+their d_intra values in restart order. Each worker folds its run into
+the best so far under a lock and drops it, so a ``sigma_intra`` call
+holds the best run and one run per worker; the unique (d_intra,
+sub-seed) minimum is the same run whatever the order.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csc_array
@@ -102,16 +104,12 @@ def check_metric(metric: str):
         raise ParameterRange(f"metric must be one of {tuple(_METRICS)}, got {metric!r}")
 
 
-def thread_map(fn, items, threads: int) -> Iterator:
-    """Each ``fn(x)``, yielded in item order as it arrives, from at most
-    ``min(threads, os.cpu_count())`` worker threads; ``threads`` is checked first."""
+def thread_map(fn, items, threads: int) -> list:
+    """Each ``fn(x)``, in item order, from at most ``min(threads,
+    os.cpu_count())`` worker threads; ``threads`` is checked first."""
     check_threads(threads)
-
-    def ordered():
-        with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
-            yield from pool.map(fn, items)
-
-    return ordered()
+    with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
+        return list(pool.map(fn, items))
 
 
 def _cluster_means(pts: np.ndarray, assign: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -303,23 +301,26 @@ def sigma_intra(
 
     Sub-seed i is a fixed 64-bit mix of (seed, i), so the restart set is
     reproducible and independent of execution order. The best run is the
-    minimal d_intra, ties broken by the lowest sub-seed value; it is kept
-    as the runs stream in, and every other run is dropped on arrival.
+    minimal d_intra, ties broken by the lowest sub-seed value. Each worker
+    folds its run into the best so far under a lock and returns only its
+    d_intra, so the call holds the best run and one run per worker.
     """
     check_seed(seed)
     check_n_init(n_init)
     pts = _packed_rows(matrices)
     seeds = [subseed(seed, i) for i in range(n_init)]
+    best = None
+    lock = threading.Lock()
 
-    def run(s: int) -> Clustering:
-        return kmeans(pts, k, s, metric=metric)
+    def run(s: int) -> float:
+        nonlocal best
+        c = kmeans(pts, k, s, metric=metric)
+        with lock:
+            if best is None or (c.d_intra, c.seed) < (best.d_intra, best.seed):
+                best = c
+        return c.d_intra
 
-    runs = thread_map(run, seeds, threads)
-    best = next(runs)
-    d_intras = [best.d_intra]
-    for r in runs:  # a run that is not the best is dropped as it arrives
-        d_intras.append(r.d_intra)
-        best = min(best, r, key=lambda c: (c.d_intra, c.seed))
+    d_intras = thread_map(run, seeds, threads)
     d = np.array(d_intras)
     return SigmaIntraResult(float(d.mean()), float(d.std()), best, tuple(d_intras))
 

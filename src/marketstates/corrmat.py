@@ -70,14 +70,6 @@ class EpochSpec:
         return (rows - self.length) // self.shift + 1
 
 
-def check_packed_array(data):
-    """Packed data is taken as it is, never converted: a stack's rows and
-    the matrices built on them, or the distances and the Gram matrix
-    ``classical_mds`` builds in them, share one buffer."""
-    if not isinstance(data, np.ndarray):
-        raise ValidationError(f"packed data must be an ndarray, got {type(data).__name__}")
-
-
 def _check_labels(kind: type, dim: int, labels):
     """Labels name the ``dim`` variables: a Guhr matrix's sectors, which it
     needs, or a correlation matrix's tickers, which may be None."""
@@ -98,11 +90,7 @@ class _EpochMatrix:
     epoch_end: date
 
     def __post_init__(self):
-        check_packed_array(self.data)
-        if self.data.shape != (packed.packed_length(self.dim),):
-            raise ValidationError(
-                f"packed data length {self.data.shape} does not match dim {self.dim}"
-            )
+        packed.check(self.data, self.dim)
         _check_labels(type(self), self.dim, self.labels)
 
     def full(self) -> np.ndarray:
@@ -152,11 +140,7 @@ class MatrixStack:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        check_packed_array(self.data)
-        if self.data.ndim != 2 or self.data.shape[1] != packed.packed_length(self.dim):
-            raise ValidationError(
-                f"stack data shape {self.data.shape} does not match dim {self.dim}"
-            )
+        packed.check(self.data, self.dim, rows=True)
         if len(self.epoch_ends) != self.data.shape[0]:
             raise ValidationError(
                 f"{len(self.epoch_ends)} epoch ends for {self.data.shape[0]} rows"

@@ -42,7 +42,7 @@ from scipy.spatial.distance import cdist
 
 from . import packed
 from .clustering import thread_map
-from .corrmat import MatrixStack, check_packed_array
+from .corrmat import MatrixStack
 from .errors import DegradedRankWarning, ParameterRange, ValidationError
 from .markov import StateSequence
 
@@ -67,13 +67,7 @@ class DistanceMatrix:
     d: np.ndarray | None
 
     def __post_init__(self):
-        check_packed_array(self.d)
-        if self.d.dtype != np.float64:
-            raise ValidationError(f"distances must be float64, got {self.d.dtype}")
-        if self.d.shape != (packed.packed_length(self.n),):
-            raise ValidationError(
-                f"packed length {self.d.shape} does not match n={self.n}"
-            )
+        packed.check(self.d, self.n)
         # reductions, not an n(n+1)/2 boolean temporary; NaN fails both
         if self.d.size and not (self.d.min() >= 0 and self.d.max() < np.inf):
             raise ValidationError("distances must be finite and nonnegative")
@@ -155,7 +149,7 @@ def distance_matrix(matrices, threads: int = 1) -> DistanceMatrix:
         for i in range(lo, hi):
             d[diag[i] + 1 : diag[i] + n - i] = block[i - lo + 1 :, i - lo]
 
-    list(thread_map(tile, range(0, n, TILE_ROWS), threads))  # the tiles write d
+    thread_map(tile, range(0, n, TILE_ROWS), threads)  # the tiles write d
     return DistanceMatrix(n=n, d=d)
 
 

@@ -12,9 +12,25 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 def packed_length(dim: int) -> int:
     return dim * (dim + 1) // 2
+
+
+def check(data, dim: int, rows: bool = False):
+    """Packed data is a float64 ndarray of ``packed_length(dim)`` entries,
+    or with ``rows`` a 2-D array of such rows. It is taken as it is, never
+    converted: a stack's rows and the matrices built on them, or the
+    distances and the Gram matrix ``classical_mds`` builds in them, share
+    one buffer."""
+    if not isinstance(data, np.ndarray):
+        raise ValidationError(f"packed data must be an ndarray, got {type(data).__name__}")
+    if data.dtype != np.float64:
+        raise ValidationError(f"packed data must be float64, got {data.dtype}")
+    if data.ndim != 1 + rows or data.shape[-1] != packed_length(dim):
+        raise ValidationError(f"packed data shape {data.shape} does not match dim {dim}")
 
 
 @lru_cache(maxsize=128)

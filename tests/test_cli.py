@@ -568,7 +568,8 @@ def test_negative_seed_fails_before_any_work(command, tmp_path, monkeypatch, cap
 # one out-of-range value per ranged option, and valid values for the
 # options some command requires
 _BAD = {"k": 0, "epsilon": 1.5, "n_init": 1, "threads": 0, "seed": -1, "max_gap": -1,
-        "damping": 1.0, "stride": 0, "epoch": 1, "shift": 0, "metric": "l3"}
+        "damping": 1.0, "stride": 0, "epoch": 1, "shift": 0, "metric": "l3",
+        "pipeline": "bogus"}
 _REQUIRED_OK = {"k": 2, "epsilon_grid": "0", "k_range": "2:3", "k_min": 2}
 
 

@@ -1,6 +1,9 @@
 import os
+import sys
+import threading
 import time
 import tracemalloc
+import weakref
 from datetime import date, timedelta
 
 import numpy as np
@@ -523,9 +526,9 @@ def test_sigma_thread_count_does_not_change_results():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sigma_holds_only_the_best_run_and_the_running_ones(threads):
-    """Runs are dropped as they arrive, so the traced peak of one call is a
-    few runs' centroids and assignments, not n_init of them (26 to 30 such
-    units when every run was held to the end, at most 8.5 measured since)."""
+    """Each worker folds its run into the best and drops it, so the traced
+    peak of one call is a few runs' centroids and assignments, not n_init
+    of them (26 to 30 such units when every run was held to the end)."""
     n, p, k, n_init = 200, 5000, 8, 24
     pts = np.random.default_rng(29).normal(size=(n, p))
     unit = (k * p + n) * 8
@@ -567,8 +570,70 @@ def test_thread_map_caps_its_workers_at_the_cpu_count(monkeypatch):
     assert many.best.seed == one.best.seed
 
 
+def test_sigma_holds_the_best_run_and_one_per_worker_whatever_the_timing(monkeypatch):
+    """Restart 0 is held back while the other worker runs the rest; no run
+    waits for it to be read, so at most the best run and one run per
+    worker are alive at once. When finished runs waited in restart order
+    behind restart 0, all 40 were."""
+    real_kmeans, lock = clustering.kmeans, threading.Lock()
+    live, peak = [0], [0]
+    first = subseed(5, 0)
+
+    def release():
+        with lock:
+            live[0] -= 1
+
+    def held_back(pts, k, seed, metric="l1"):
+        c = real_kmeans(pts, k, seed, metric=metric)
+        weakref.finalize(c, release)
+        with lock:
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+        if seed == first:
+            time.sleep(0.3)
+        return c
+
+    pts = np.random.default_rng(31).normal(size=(300, 20))
+    expected = sigma_intra(pts, 3, 40, seed=5, threads=1)
+    monkeypatch.setattr(clustering, "kmeans", held_back)
+    res = sigma_intra(pts, 3, 40, seed=5, threads=2)
+    assert peak[0] <= min(2, os.cpu_count() or 1) + 1
+    assert res.d_intras == expected.d_intras
+    assert res.best.seed == expected.best.seed
+
+
+def test_sigma_fold_loses_no_update_under_contention(monkeypatch):
+    """Eight workers on any box, switching threads every microsecond, fold
+    instant restarts whose d_intra falls with the restart index, so nearly
+    every fold replaces the best. Their d_intra values compare in Python
+    code that gives up the GIL, so threads are switched out between the
+    fold's test and its store; the best is still the last restart."""
+    n = 5_000
+    index = {subseed(4, i): i for i in range(n)}
+
+    class Switchable(float):
+        __hash__ = float.__hash__
+
+        def __eq__(self, other):
+            time.sleep(0)
+            return float(self) == float(other)
+
+    def instant(pts, k, seed, metric="l1"):
+        return Clustering(k, None, None, Switchable(n - index[seed]), seed, 1, True)
+
+    monkeypatch.setattr(clustering.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(clustering, "kmeans", instant)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        res = sigma_intra(np.zeros((2, 1)), 1, n, seed=4, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert res.best.seed == subseed(4, n - 1)
+
+
 def test_thread_map_yields_in_item_order_and_checks_threads_at_the_call():
-    """The results come as an iterator, in item order whatever order the
+    """The results come as a list, in item order whatever order the
     workers finish in; a bad worker count raises before any item runs."""
     finish = [0.03, 0.0, 0.02, 0.01]
 
@@ -576,9 +641,7 @@ def test_thread_map_yields_in_item_order_and_checks_threads_at_the_call():
         time.sleep(finish[i])
         return i * i
 
-    results = clustering.thread_map(slow, range(4), threads=4)
-    assert iter(results) is results
-    assert list(results) == [0, 1, 4, 9]
+    assert clustering.thread_map(slow, range(4), threads=4) == [0, 1, 4, 9]
 
     def unreachable(x):
         raise AssertionError("an item ran")

@@ -33,7 +33,7 @@ from marketstates.errors import (
     ValidationError,
 )
 from marketstates.ingest import ReturnTable, SectorMap
-from marketstates.mds import matrix_distance
+from marketstates.mds import DistanceMatrix, matrix_distance
 
 # oracles, written independently of the implementation under test
 
@@ -598,7 +598,7 @@ _DAY = date(2020, 1, 2)
 
 @pytest.mark.parametrize("build, message", [
     (lambda: CorrMatrix(3, np.zeros(5), _DAY, 0),
-     "packed data length (5,) does not match dim 3"),
+     "packed data shape (5,) does not match dim 3"),
     (lambda: GuhrMatrix(2, np.zeros(3), _DAY, ("a",)), "1 sector labels for dim 2"),
     (lambda: MatrixStack(CorrMatrix, 2, np.zeros((3, 3)), (_DAY, _DAY)),
      "2 epoch ends for 3 rows"),
@@ -635,6 +635,40 @@ def test_shapes_that_do_not_fit_raise_validation_errors(build, message):
     with pytest.raises(ValidationError) as info:
         build()
     assert str(info.value) == message
+
+
+# the three containers of packed data, each built on a dim-3 buffer
+_PACKED_CONTAINERS = {
+    "matrix": (lambda data: CorrMatrix(3, data, _DAY, 0), False),
+    "stack": (lambda data: MatrixStack(CorrMatrix, 3, data, (_DAY,) * len(data)), True),
+    "distances": (lambda data: DistanceMatrix(n=3, d=data), False),
+}
+
+
+@pytest.mark.parametrize("container", list(_PACKED_CONTAINERS))
+@pytest.mark.parametrize("bad, message", [
+    (lambda a: a.tolist(), "packed data must be an ndarray, got list"),
+    (lambda a: a.astype(np.int64), "packed data must be float64, got int64"),
+    (lambda a: a.astype(bool), "packed data must be float64, got bool"),
+    (lambda a: a.astype(complex), "packed data must be float64, got complex128"),
+    (lambda a: a.astype(object), "packed data must be float64, got object"),
+    (lambda a: a.astype(np.float32), "packed data must be float64, got float32"),
+    (lambda a: a[..., :-1], "packed data shape {} does not match dim 3"),
+], ids=["list", "int64", "bool", "complex", "object", "float32", "wrong-shape"])
+def test_packed_data_is_a_float64_array_of_the_packed_shape(container, bad, message):
+    """``packed.check`` is the one check of packed data. Before, matrices
+    and stacks took any dtype: a complex stack ran k-means with its
+    imaginary parts dropped, and complex or object distances ended in
+    scipy's untyped ValueError."""
+    build, rows = _PACKED_CONTAINERS[container]
+    good = np.array([0.0, 1.0, 2.0, 0.0, 3.0, 0.0])
+    if rows:
+        good = good[None]
+    build(good)
+    data = bad(good)
+    with pytest.raises(ValidationError) as info:
+        build(data)
+    assert str(info.value) == message.format(getattr(data, "shape", None))
 
 
 def test_scaling_scales_distance():

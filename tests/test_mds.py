@@ -285,8 +285,8 @@ def test_distance_container_validation():
 
 
 @pytest.mark.parametrize("d, message", [
-    (np.array([0, 1, 2, 0, 3, 0]), "distances must be float64, got int64"),
-    (np.zeros(6, dtype=np.float32), "distances must be float64, got float32"),
+    (np.array([0, 1, 2, 0, 3, 0]), "packed data must be float64, got int64"),
+    (np.zeros(6, dtype=np.float32), "packed data must be float64, got float32"),
     ([0.0, 1.0, 2.0, 0.0, 3.0, 0.0], "packed data must be an ndarray, got list"),
 ], ids=["int64", "float32", "list"])
 def test_distances_that_are_not_a_float64_array_are_refused(d, message):

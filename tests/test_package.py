@@ -1,5 +1,6 @@
 """The package namespace: its export table and what importing it loads."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -75,3 +76,42 @@ def test_data_layer_imports_without_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# the module layers README states, each importing only from earlier ones;
+# the package's __init__ (a lazy export table) and __main__ stand outside
+LAYERS = (
+    {"errors"},
+    {"rng", "packed"},
+    {"ingest"},
+    {"corrmat", "markov"},
+    {"synth"},
+    {"clustering"},
+    {"mds"},
+    {"cli"},
+)
+
+
+def _relative_imports(path: Path, modules: set[str]) -> set[str]:
+    """The package modules a file imports: ``from .m import x`` and
+    ``from . import m``; ``from . import name`` of the package itself is
+    not a module of a layer."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found |= {alias.name for alias in node.names} & modules
+    return found
+
+
+def test_each_module_imports_only_from_earlier_layers():
+    home = Path(marketstates.__file__).parent
+    modules = {p.stem for p in home.glob("*.py")} - {"__init__", "__main__"}
+    assert modules == set().union(*LAYERS)
+    for i, layer in enumerate(LAYERS):
+        earlier = set().union(*LAYERS[:i])
+        for name in sorted(layer):
+            imported = _relative_imports(home / f"{name}.py", modules)
+            assert imported <= earlier, f"{name} imports {sorted(imported - earlier)}"
